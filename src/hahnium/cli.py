@@ -511,7 +511,7 @@ def _window_check(name: str, value: float, lo: float, hi: float) -> dict:
     }
 
 
-def _suite_nr_oracle(small: bool, rel_tol: float) -> list:
+def _suite_nr_oracle(small: bool, rel_tol: float, budget: int) -> list:
     n_max = 3 if small else 6
     worst = 0.0
     for Z in (1.0, 10.0):
@@ -520,7 +520,7 @@ def _suite_nr_oracle(small: bool, rel_tol: float) -> list:
                 state = NrState(Z, n, l)
                 for p in range(-2 * l - 2, 5):
                     got = expect_r_power_nr(state, p).value
-                    want = brute_expect_nr(state, p, rel_tol=rel_tol)
+                    want = brute_expect_nr(state, p, rel_tol=rel_tol, budget=budget)
                     worst = max(worst, abs(got - want) / abs(want))
     return [_check(f"moment closed form vs quadrature (n<={n_max})", worst, 1e-9)]
 
@@ -545,7 +545,7 @@ def _suite_nr_exact(small: bool) -> list:
     return [_check(f"rational specials (n<={n_max})", float(bad), 0.0)]
 
 
-def _suite_rel_oracle(small: bool, rel_tol: float) -> list:
+def _suite_rel_oracle(small: bool, rel_tol: float, budget: int) -> list:
     n_max = 2 if small else 4
     kappas = (-2, -1, 1) if small else (-3, -2, -1, 1, 2, 3)
     worst = 0.0
@@ -561,7 +561,7 @@ def _suite_rel_oracle(small: bool, rel_tol: float) -> list:
                 for p in range(-2, 4):
                     got = expect_r_power_rel(state, p)
                     flagged += got.cancellation_flag
-                    want = brute_expect_rel(state, p, rel_tol=rel_tol)
+                    want = brute_expect_rel(state, p, rel_tol=rel_tol, budget=budget)
                     worst = max(worst, abs(got.value - want) / abs(want))
     return [
         _check(
@@ -764,15 +764,16 @@ def _suite_limits(small: bool) -> list:
     return checks
 
 
+# Each suite takes (small grid?, oracle rel_tol, quadrature budget).
 _SUITES = {
-    "nr-oracle": lambda small, tol: _suite_nr_oracle(small, tol),
-    "nr-exact": lambda small, tol: _suite_nr_exact(small),
-    "rel-oracle": lambda small, tol: _suite_rel_oracle(small, tol),
-    "rel-special-cases": lambda small, tol: _suite_rel_special(small),
-    "identities": lambda small, tol: _suite_identities(small),
-    "angular": lambda small, tol: _suite_angular(small),
-    "screening": lambda small, tol: _suite_screening(small),
-    "limits": lambda small, tol: _suite_limits(small),
+    "nr-oracle": _suite_nr_oracle,
+    "nr-exact": lambda small, tol, budget: _suite_nr_exact(small),
+    "rel-oracle": _suite_rel_oracle,
+    "rel-special-cases": lambda small, tol, budget: _suite_rel_special(small),
+    "identities": lambda small, tol, budget: _suite_identities(small),
+    "angular": lambda small, tol, budget: _suite_angular(small),
+    "screening": lambda small, tol, budget: _suite_screening(small),
+    "limits": lambda small, tol, budget: _suite_limits(small),
 }
 
 
@@ -788,7 +789,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     oracle_tol = min(config.rel_tol, 1e-11)
     all_ok = True
     for name in names:
-        for result in _SUITES[name](small, oracle_tol):
+        for result in _SUITES[name](small, oracle_tol, config.verify_budget):
             all_ok &= result["ok"]
             if config.output_format == "json":
                 _emit_json(

@@ -11,7 +11,6 @@ rather than the production one.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,39 +32,40 @@ __all__ = [
 
 DEFAULT_BUDGET = 2_000_000
 
-# Gauss-Kronrod 7/15 pair on [-1, 1], positive half, nodes descending.
-# Certified by the polynomial-exactness tests (Kronrod exact through
-# degree 22, embedded Gauss through 13).
+# Gauss-Kronrod 7/15 pair on [-1, 1], positive half, nodes descending:
+# the QUADPACK qk15 constants (Piessens et al., 1983).  Certified by the
+# polynomial-exactness tests (Kronrod exact through degree 22, embedded
+# Gauss through 13).
 _NODES_HALF = np.array(
     [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
         0.0,
     ]
 )
 _K_WEIGHTS_HALF = np.array(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
     ]
 )
 _G_WEIGHTS_HALF = np.array(
     [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327,
     ]
 )
 
@@ -86,16 +86,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gk_panel(fn: Callable, lo: float, hi: float) -> tuple[float, float, float]:
-    """(Kronrod value, |Kronrod - Gauss|, Kronrod value of |f|) on [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    samples = np.asarray(fn(0.5 * (lo + hi) + half * GK_NODES), dtype=float)
-    kron = half * float(GK_WEIGHTS @ samples)
-    gauss = half * float(G_WEIGHTS @ samples[1::2])
-    coarse = half * float(GK_WEIGHTS @ np.abs(samples))
-    return kron, abs(kron - gauss), coarse
-
-
 def quad_semi_infinite(
     integrand: Callable,
     singularity_exponent_at_0: float,
@@ -110,22 +100,39 @@ def quad_semi_infinite(
     The integrand must accept numpy arrays elementwise, behave as
     x^sigma near 0 (sigma = singularity_exponent_at_0, supplied
     analytically by the caller and never estimated) and decay like
-    exp(-decay_rate * x) times a polynomial of degree at most
-    polynomial_degree.  The head region absorbs the x^sigma factor
-    exactly through the substitution x = x1 * t^{1/(sigma+1)}; the
-    tail maps through x = x1 - s*log(1-t).  Endpoints are never
+    exp(-d*x), d = decay_rate, times a polynomial of degree at most
+    q = polynomial_degree.  The head (0, x1) and the tail (x1, inf),
+    x1 = 1/d, are mapped from t in (0, 1) so that the mapped integrand
+    is smooth at every end:
+
+    * head, x = x1*t^m: m = 1 for integer sigma >= 0; m = 1/(sigma+1)
+      for sigma < 0, which absorbs x^sigma; else m = ceil(4/(sigma+1)),
+      which leaves t^(m*(sigma+1)-1), flat to third order at t = 0.
+    * tail, x = x1 - s*log(1-t), s = max(16, reach/36)/d with
+      reach = 74 + 1.5*q: exp(-d*x) becomes (1-t)^(s*d), at least
+      (1-t)^16, which flattens the powers of log(1-t) at t = 1.
+
+    Tail nodes beyond x_max = x1 + reach/d contribute 0 and never reach
+    the integrand: the exp(-d*x) x^q mass there is below 1e-20 of the
+    total (and t < 1 - eps caps the map at x1 + 36*s >= x_max anyway).
+    Understating q silently biases the result at the 1e-6..1e-8 level
+    long before any error estimate notices.  Endpoints are never
     evaluated.
 
-    The tail stretch s is sized from polynomial_degree: t is
-    representable only up to 1 - eps, so the map covers
-    x <= x1 + 36*s, and exp(-d*x) x^q mass beyond that point must be
-    negligible.  d*x_max >= 75 + 1.5*q keeps the uncovered mass below
-    1e-20 of the total; understating q silently biases the result at
-    the 1e-6..1e-8 level long before any error estimate notices.
+    Refinement runs in rounds over one shared panel list, as in
+    QUADPACK's qk15/qag (Piessens et al., 1983) and
+    scipy.integrate.quad_vec: each round bisects every panel whose
+    |Kronrod - Gauss| exceeds its equal share of the tolerance (or the
+    worst of them that the budget still pays for) and evaluates all
+    new panels, head and tail, in one integrand call.  It converges
+    when the error estimate is at most max(rel_tol*|value|, abs_tol);
+    value and error are then summed exactly in panel order.
 
-    Converges when the error estimate drops below
-    max(rel_tol * |value|, abs_tol); raises QuadratureError once the
-    evaluation budget is spent.
+    `evaluations` counts the points passed to the integrand, at most
+    `budget`.  QuadratureError is raised when the budget cannot pay for
+    the next bisection, on a non-finite panel, and when a head node
+    falls below the smallest normal float (sigma within about 0.01 of
+    -1, where the head's mass is not representable).
     """
     sigma = float(singularity_exponent_at_0)
     if sigma <= -1.0:
@@ -136,64 +143,80 @@ def quad_semi_infinite(
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
 
     x1 = 1.0 / decay_rate
-    power = 1.0 / (sigma + 1.0)
-    head_scale = x1 * power
-
-    def head(t: np.ndarray) -> np.ndarray:
-        x = x1 * np.power(t, power)
-        return integrand(x) * head_scale * np.power(t, power - 1.0)
-
+    if sigma < 0.0:
+        head_power = 1.0 / (sigma + 1.0)
+    elif sigma.is_integer():
+        head_power = 1.0
+    else:
+        head_power = float(math.ceil(4.0 / (sigma + 1.0)))
     reach = 74.0 + 1.5 * max(float(polynomial_degree), 0.0)
-    stretch = max(2.0, reach / 36.0) / decay_rate
-    # Deep subdivision can round a node onto t=1 where the map blows up;
-    # clamp to the last representable point below 1 (integrand ~ 0 there).
-    t_max = math.nextafter(1.0, 0.0)
+    stretch = max(16.0, reach / 36.0) / decay_rate
+    x_max = x1 + reach / decay_rate
 
-    def tail(t: np.ndarray) -> np.ndarray:
-        t = np.minimum(t, t_max)
-        x = x1 - stretch * np.log1p(-t)
-        return integrand(x) * (stretch / (1.0 - t))
+    # One coordinate u carries both pieces: the head's t = u on (0, 1),
+    # the tail's t = u - 1 on (1, 2).
+    def rule(lo: np.ndarray, hi: np.ndarray):
+        """Kronrod values, |Kronrod - Gauss| and point count of panels."""
+        half = 0.5 * (hi - lo)
+        u = (0.5 * (lo + hi))[:, None] + half[:, None] * GK_NODES
+        head = u < 1.0
+        x = np.empty_like(u)
+        weight = np.empty_like(u)
+        t = u[head]
+        x[head] = x1 * np.power(t, head_power)
+        if np.any(x[head] < np.finfo(float).tiny):
+            raise QuadratureError(
+                f"head map x1*t^{head_power:g} underflows: sigma={sigma} "
+                "is too close to -1"
+            )
+        weight[head] = x1 * head_power * np.power(t, head_power - 1.0)
+        # 1 - t of the tail, exact; deep subdivision can round a node
+        # onto t = 1, which is held at the last float below it.
+        rest = np.maximum(2.0 - u[~head], 2.0**-52)
+        x[~head] = x1 - stretch * np.log(rest)
+        weight[~head] = stretch / rest
+        inside = x <= x_max
+        samples = np.zeros_like(u)
+        samples[inside] = np.asarray(integrand(x[inside]), dtype=float) * weight[inside]
+        kron = half * (samples @ GK_WEIGHTS)
+        gauss = half * (samples[:, 1::2] @ G_WEIGHTS)
+        return kron, np.abs(kron - gauss), int(np.count_nonzero(inside))
 
-    regions = (head, tail)
-    heap: list[tuple[float, int, float, float, int, float]] = []
-    tie = 0
-    evaluations = 0
-    total_value = 0.0
-    total_error = 0.0
-    total_coarse = 0.0
-    seeds = np.linspace(0.0, 1.0, 5)
-    for region_id in (0, 1):
-        for lo, hi in zip(seeds[:-1], seeds[1:]):
-            value, error, coarse = _gk_panel(regions[region_id], lo, hi)
-            evaluations += GK_NODES.size
-            heapq.heappush(heap, (-error, tie, lo, hi, region_id, value))
-            tie += 1
-            total_value += value
-            total_error += error
-            total_coarse += coarse
+    panel_points = GK_NODES.size
+    seeds = np.linspace(0.0, 2.0, 9)
+    lo, hi = seeds[:-1], seeds[1:]
+    if budget < lo.size * panel_points:
+        raise QuadratureError(f"budget {budget} cannot pay for the initial panels")
+    value, error, evaluations = rule(lo, hi)
 
-    while total_error > max(rel_tol * abs(total_value), abs_tol):
-        if evaluations + 2 * GK_NODES.size > budget:
+    while True:
+        total_value, total_error = float(value.sum()), float(error.sum())
+        tolerance = max(rel_tol * abs(total_value), abs_tol)
+        if not total_error > tolerance:
+            break
+        room = (budget - evaluations) // (2 * panel_points)
+        if room < 1:
             raise QuadratureError(
                 f"error estimate {total_error:.3e} above tolerance after "
                 f"{evaluations} evaluations (value {total_value:.6e})"
             )
-        neg_error, _, lo, hi, region_id, value = heapq.heappop(heap)
-        total_error += neg_error
-        total_value -= value
-        mid = 0.5 * (lo + hi)
-        for child_lo, child_hi in ((lo, mid), (mid, hi)):
-            value, error, coarse = _gk_panel(regions[region_id], child_lo, child_hi)
-            evaluations += GK_NODES.size
-            heapq.heappush(heap, (-error, tie, child_lo, child_hi, region_id, value))
-            tie += 1
-            total_value += value
-            total_error += error
+        split = np.flatnonzero(error > tolerance / error.size)
+        if split.size > room:
+            split = split[np.argsort(-error[split], kind="stable")[:room]]
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate((lo[split], mid))
+        child_hi = np.concatenate((mid, hi[split]))
+        child_value, child_error, points = rule(child_lo, child_hi)
+        evaluations += points
+        lo = np.concatenate((np.delete(lo, split), child_lo))
+        hi = np.concatenate((np.delete(hi, split), child_hi))
+        value = np.concatenate((np.delete(value, split), child_value))
+        error = np.concatenate((np.delete(error, split), child_error))
 
     # Deterministic final reduction: exact summation in panel order.
-    panels = sorted(heap, key=lambda entry: (entry[4], entry[2]))
-    value = math.fsum(entry[5] for entry in panels)
-    error = math.fsum(-entry[0] for entry in panels)
+    order = np.argsort(lo)
+    value = math.fsum(value[order])
+    error = math.fsum(error[order])
     if not (math.isfinite(value) and math.isfinite(error)):
         raise QuadratureError(
             f"non-finite panel encountered (value {value}, error {error})"
@@ -202,7 +225,7 @@ def quad_semi_infinite(
 
 
 @lru_cache(maxsize=4096)
-def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
+def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float, budget: int) -> float:
     """Unnormalized nonrelativistic moment integral over the density shape."""
     scale = 2.0 * z / n
     spec = LaguerreSpec(n - l - 1, 2 * l + 1)
@@ -213,27 +236,33 @@ def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
         return np.exp(-eta) * np.power(eta, 2 * l) * shape * shape * np.power(r, p + 2.0)
 
     return quad_semi_infinite(
-        integrand, 2 * l + p + 2, scale, rel_tol, polynomial_degree=2 * n + p
+        integrand, 2 * l + p + 2, scale, rel_tol, budget=budget,
+        polynomial_degree=2 * n + p,
     ).value
 
 
-def brute_expect_nr(state, p: int, rel_tol: float = 1e-12) -> float:
+def brute_expect_nr(
+    state, p: int, rel_tol: float = 1e-12, budget: int = DEFAULT_BUDGET
+) -> float:
     """Radial moment <r^p> (a0 units) of a nonrelativistic state by quadrature.
 
     The unnormalized density is assembled directly from the Laguerre
     shape; the normalization denominator is computed, not assumed.  The
-    state object only needs Z, n, l attributes.
+    state object only needs Z, n, l attributes; `budget` caps the
+    evaluations of each of the two integrals.
     """
     z, n, l = float(state.Z), int(state.n), int(state.l)
     if not 0 <= l < n:
         raise ValueError(f"need 0 <= l < n, got l={l}, n={n}")
     if p <= -2 * l - 3:
         raise ValueError(f"moment p={p} diverges for l={l} (need p >= {-2 * l - 2})")
-    return _nr_moment(z, n, l, p, rel_tol) / _nr_moment(z, n, l, 0, rel_tol)
+    return _nr_moment(z, n, l, p, rel_tol, budget) / _nr_moment(z, n, l, 0, rel_tol, budget)
 
 
 @lru_cache(maxsize=4096)
-def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> float:
+def _rel_moment(
+    mu: float, n_r: int, kappa: int, p: int, rel_tol: float, budget: int
+) -> float:
     """Unnormalized Dirac moment integral from the traditional radial form.
 
     The large/small components are linear combinations of L_{n-1}^{2nu}
@@ -270,17 +299,20 @@ def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> floa
         )
 
     return quad_semi_infinite(
-        integrand, 2.0 * nu + p, 2.0 * a, rel_tol,
+        integrand, 2.0 * nu + p, 2.0 * a, rel_tol, budget=budget,
         polynomial_degree=2.0 * nu + 2 * n_r + p,
     ).value
 
 
-def brute_expect_rel(state, p: int, rel_tol: float = 1e-12) -> float:
+def brute_expect_rel(
+    state, p: int, rel_tol: float = 1e-12, budget: int = DEFAULT_BUDGET
+) -> float:
     """Radial moment <r^p> (Compton units) of a Dirac state by quadrature.
 
     The state object only needs mu, n_r, kappa attributes; the density
     route (traditional radial form) is disjoint from the production
-    closed forms, and the normalization is computed.
+    closed forms, and the normalization is computed; `budget` caps the
+    evaluations of each of the two integrals.
     """
     mu, n_r, kappa = float(state.mu), int(state.n_r), int(state.kappa)
     if kappa == 0:
@@ -292,7 +324,10 @@ def brute_expect_rel(state, p: int, rel_tol: float = 1e-12) -> float:
     nu = math.sqrt(kappa * kappa - mu * mu)
     if 2.0 * nu + p + 1.0 <= 0.0:
         raise ValueError(f"moment p={p} diverges (need 2*nu + p + 1 > 0, nu={nu})")
-    return _rel_moment(mu, n_r, kappa, p, rel_tol) / _rel_moment(mu, n_r, kappa, 0, rel_tol)
+    return (
+        _rel_moment(mu, n_r, kappa, p, rel_tol, budget)
+        / _rel_moment(mu, n_r, kappa, 0, rel_tol, budget)
+    )
 
 
 def brute_screening(

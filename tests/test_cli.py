@@ -175,5 +175,14 @@ def test_verify_env_budget_accepted():
     )
 
 
+def test_verify_budget_reaches_quadrature():
+    # 100 points cannot pay for the initial panels of one integral
+    proc = run_cli(
+        "verify", "--suite", "nr-oracle",
+        env_extra={"HAHNIUM_BUDGET": "100"}, expect_code=1,
+    )
+    assert "numerical failure" in proc.stderr
+
+
 def test_missing_model_flag_exits_2():
     run_cli("energy", "-Z", "1", "-n", "1", expect_code=2)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import hahnium.oracle as oracle
-from hahnium.hydrogen_nr import NrState, screening_nr
-from hahnium.hydrogen_rel import RelState
+from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
+from hahnium.hydrogen_rel import RelState, expect_r_power_rel
 from hahnium.oracle import (
     DEFAULT_BUDGET,
+    G_WEIGHTS,
+    GK_NODES,
+    GK_WEIGHTS,
     QuadratureError,
     brute_expect_nr,
     brute_expect_rel,
@@ -18,6 +21,25 @@ from hahnium.oracle import (
     quad_semi_infinite,
     sphere_quad,
 )
+
+
+def _monomial_integral(k: int) -> float:
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+def test_gk_rule_polynomial_exactness():
+    # Kronrod 15 points: exact through degree 3*7 + 1; embedded Gauss
+    # 7 points: exact through degree 2*7 - 1
+    for k in range(23):
+        got = math.fsum(GK_WEIGHTS * GK_NODES**k)
+        assert abs(got - _monomial_integral(k)) <= 1e-15, k
+    gauss_nodes = GK_NODES[1::2]
+    for k in range(14):
+        got = math.fsum(G_WEIGHTS * gauss_nodes**k)
+        assert abs(got - _monomial_integral(k)) <= 1e-15, k
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(gauss_nodes - nodes)) <= 1e-15
+    assert np.max(np.abs(G_WEIGHTS - weights)) <= 1e-15
 
 
 def test_gamma_self_test():
@@ -30,6 +52,44 @@ def test_gamma_self_test():
         assert abs(res.value - want) <= 1e-12 * want
         assert res.error_estimate <= 1e-12 * want
         assert 0 < res.evaluations <= DEFAULT_BUDGET
+
+
+def test_gamma_self_test_domain_edges():
+    # sigma -> -1 (large head power) and a high-degree tail, with the
+    # true polynomial degree alpha - 1 sizing the tail reach
+    for alpha in (0.02, 0.05, 30.5):
+        def integrand(x, alpha=alpha):
+            return x ** (alpha - 1.0) * np.exp(-x)
+
+        res = quad_semi_infinite(
+            integrand, alpha - 1.0, 1.0, 1e-13, polynomial_degree=alpha - 1.0
+        )
+        want = math.gamma(alpha)
+        assert abs(res.value - want) <= 1e-12 * want, alpha
+        assert res.error_estimate <= 1e-12 * want, alpha
+
+
+def test_head_underflow_refused():
+    # at sigma = -0.995 half the mass lies below x ~ 1e-60 and the head
+    # map x = t^200 underflows on the first panel: refuse, never guess
+    with pytest.raises(QuadratureError, match="underflows"):
+        quad_semi_infinite(lambda x: x**-0.995 * np.exp(-x), -0.995, 1.0, 1e-13)
+
+
+def test_tail_stops_at_reach():
+    # no node beyond x_max = x1 + reach/d reaches the integrand, where a
+    # high power of x would overflow while exp(-d x) underflows
+    seen = []
+    for degree, decay in ((0.0, 1.0), (12.0, 0.1), (200.0, 2.0)):
+        def integrand(x, degree=degree, decay=decay):
+            seen.append(float(np.max(x)))
+            y = decay * x
+            return np.exp(degree * np.log(y) - y - math.lgamma(degree + 1.0))
+
+        quad_semi_infinite(integrand, degree, decay, 1e-12, polynomial_degree=degree)
+        x_max = (1.0 + 74.0 + 1.5 * degree) / decay
+        assert max(seen) <= x_max * (1.0 + 1e-15), degree
+        seen.clear()
 
 
 def test_decay_rate_rescales_tail():
@@ -49,6 +109,32 @@ def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureError):
         quad_semi_infinite(noisy, 0.0, 1.0, 1e-13, budget=500)
 
+    # the budget is a hard cap on the points the integrand receives
+    for budget in (500, 5000, 100):
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return noisy(x)
+
+        with pytest.raises(QuadratureError):
+            quad_semi_infinite(counted, 0.0, 1.0, 1e-13, budget=budget)
+        assert sum(points) <= budget, budget
+
+    # and `evaluations` is that count on a converged run
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return np.exp(-x)
+
+    res = quad_semi_infinite(counted, 0.0, 1.0, 1e-13)
+    assert res.evaluations == sum(points)
+    with pytest.raises(QuadratureError):
+        brute_expect_nr(NrState(1.0, 3, 1), 5, budget=100)
+    with pytest.raises(QuadratureError):
+        brute_expect_rel(RelState(1.0, 1, -1), 5, budget=100)
+
 
 def test_invalid_inputs():
     def f(x):
@@ -67,6 +153,61 @@ def test_brute_expect_nr_reference_values():
     assert brute_expect_nr(state, -2) == pytest.approx(2.0, rel=1e-11)
     state = NrState(2.0, 3, 1)
     assert brute_expect_nr(state, -1) == pytest.approx(2.0 / 9.0, rel=1e-11)
+
+
+def test_brute_expect_nr_high_n_edges():
+    # l = n-1 with p = -2l-2 puts r^(-2l) against eta^(2l) in the head;
+    # p = 12 at n = 20 puts a degree-52 polynomial in the tail
+    for n in (12, 15, 20):
+        for l in sorted({0, n // 2, n - 1}):
+            state = NrState(1.0, n, l)
+            for p in (-2 * l - 2, 0, 8, 12):
+                want = expect_r_power_nr(state, p).value
+                got = brute_expect_nr(state, p)
+                assert abs(got - want) <= 1e-9 * abs(want), (n, l, p)
+
+
+def test_brute_expect_rel_near_critical_charge():
+    # nu -> 0 as Z alpha -> |kappa|: head exponents near -1 for p = -1
+    for z in (120, 136):
+        for kappa in (-1, 1, -2):
+            for n_r in range(0 if kappa < 0 else 1, 13):
+                state = RelState(z, n_r, kappa)
+                for p in range(-2, 5):
+                    if 2.0 * state.nu + p + 1.0 <= 0.0:
+                        continue
+                    want = expect_r_power_rel(state, p).value
+                    got = brute_expect_rel(state, p)
+                    assert abs(got - want) <= 1e-9 * abs(want), (z, kappa, n_r, p)
+
+
+def test_oracle_work_per_integral(monkeypatch):
+    # deterministic work guard: the Z = 1 half of the criterion-01 grid
+    # and the Z = 92 part of the criterion-03 grid, mean evaluations per
+    # integral (about 1300 with one panel at a time on the earlier maps)
+    counts = []
+    quad = oracle.quad_semi_infinite
+
+    def counting(*args, **kwargs):
+        result = quad(*args, **kwargs)
+        counts.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(oracle, "quad_semi_infinite", counting)
+    oracle._nr_moment.cache_clear()
+    oracle._rel_moment.cache_clear()
+    for n in range(1, 11):
+        for l in range(n):
+            for p in range(-2 * l - 2, 7):
+                brute_expect_nr(NrState(1.0, n, l), p)
+    for kappa in (-1, 1, -2, 2, -3, 3):
+        for n_r in range(0 if kappa < 0 else 1, 7):
+            state = RelState(92, n_r, kappa)
+            powers = ([-3] if 2.0 * state.nu - 2.0 > 0.0 else []) + list(range(-2, 5))
+            for p in powers:
+                brute_expect_rel(state, p)
+    assert len(counts) == 825 + 299  # p = 0 is shared with the normalizer
+    assert sum(counts) / len(counts) <= 700, sum(counts) / len(counts)
 
 
 def test_brute_expect_rel_normalization():
