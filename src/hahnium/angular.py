@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .orthopoly import legendre
 
 __all__ = [
     "HalfInt",
@@ -209,6 +208,17 @@ def clebsch_gordan(
     return sign * math.sqrt(square)
 
 
+def _spinor_jm(j: HalfIntLike, m: HalfIntLike) -> tuple:
+    """(2j, 2m) of a spin-1/2 coupled level; ValueError unless j is a
+    positive half-odd-integer and m one of its projections."""
+    tj, tm = _twice(j), _twice(m)
+    if tj < 1 or tj % 2 == 0:
+        raise ValueError("j must be a positive half-odd-integer")
+    if (tj + tm) % 2 != 0 or abs(tm) > tj:
+        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
+    return tj, tm
+
+
 def spinor_harmonic(
     j: HalfIntLike, m: HalfIntLike, branch: int, theta: float, phi: float
 ) -> Spinor2:
@@ -219,13 +229,9 @@ def spinor_harmonic(
     component whose coefficient vanishes is skipped, never evaluated out of
     range.
     """
-    tj, tm = _twice(j), _twice(m)
     if branch not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
-    if tj < 1 or tj % 2 == 0:
-        raise ValueError("j must be a positive half-odd-integer")
-    if (tj + tm) % 2 != 0 or abs(tm) > tj:
-        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
+    tj, tm = _spinor_jm(j, m)
     if branch == 1:
         l = (tj + 1) // 2
         up_sq = Fraction(tj - tm + 2, 2 * (tj + 2))
@@ -253,11 +259,7 @@ def angular_density(j: HalfIntLike, m: HalfIntLike, theta: float) -> float:
     Common to both large and small components, independent of phi and of
     the sign of kappa; normalized so the sphere integral is 1.
     """
-    tj, tm = _twice(j), _twice(m)
-    if tj < 1 or tj % 2 == 0:
-        raise ValueError("j must be a positive half-odd-integer")
-    if (tj + tm) % 2 != 0 or abs(tm) > tj:
-        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
+    tj, tm = _spinor_jm(j, m)
     l = (tj - 1) // 2
     total = 0.0
     if tj + tm:  # weight (j + m) against Y_{l, m-1/2}
@@ -273,11 +275,7 @@ def angular_density_coeffs(j: HalfIntLike, m: HalfIntLike) -> list:
     s runs over 0 .. j - 1/2; a_0 = 1/(4 pi) always, which carries the
     normalization of the sphere integral.
     """
-    tj, tm = _twice(j), _twice(m)
-    if tj < 1 or tj % 2 == 0:
-        raise ValueError("j must be a positive half-odd-integer")
-    if (tj + tm) % 2 != 0 or abs(tm) > tj:
-        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
+    tj, tm = _spinor_jm(j, m)
     coeffs = []
     for s in range(((tj - 1) // 2) + 1):
         # Fraction keeps the factorial ratios exact; one sqrt at the end.

@@ -37,6 +37,7 @@ from .hydrogen_nr import (
     screening_nr,
 )
 from .hydrogen_rel import (
+    _SPECIAL_POWERS,
     ALPHA_FS,
     RelState,
     energy_rel,
@@ -253,10 +254,17 @@ def _emit_json(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    sys.stdout.write(",".join(header) + "\n")
+def _emit_rows(config: RunConfig, rows: Sequence[dict], columns: Sequence[str]) -> None:
+    """One JSON record per row, or CSV: a header and each row projected
+    onto `columns` (looked up in the row, then in its quantum_numbers)."""
+    if config.output_format == "json":
+        for row in rows:
+            _emit_json(row)
+        return
+    sys.stdout.write(",".join(columns) + "\n")
     for row in rows:
-        sys.stdout.write(",".join(str(cell) for cell in row) + "\n")
+        cells = (row[c] if c in row else row["quantum_numbers"][c] for c in columns)
+        sys.stdout.write(",".join(str(cell) for cell in cells) + "\n")
 
 
 def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
@@ -275,10 +283,7 @@ def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
             "method": "closed_form",
             "inputs": inputs,
         }
-        header = ["model", "Z", "n", "l", "m", "energy", "unit", "method"]
-        row = [
-            "nr", state.Z, state.n, state.l, state.m, value, unit, "closed_form"
-        ]
+        columns = ["model", "Z", "n", "l", "m", "energy", "unit", "method"]
     else:
         factor = _ENERGY_FACTOR["mc^2"][config.unit_system]
         eps = energy_rel(state)
@@ -299,18 +304,11 @@ def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
             "method": "closed_form",
             "inputs": inputs,
         }
-        header = [
+        columns = [
             "model", "Z", "n_r", "kappa", "energy", "epsilon", "nu",
             "binding", "unit", "method",
         ]
-        row = [
-            "rel", state.Z, state.n_r, state.kappa, eps * factor, eps,
-            state.nu, (eps - 1.0) * factor, unit, "closed_form",
-        ]
-    if config.output_format == "json":
-        _emit_json(record)
-    else:
-        _emit_csv(header, [row])
+    _emit_rows(config, [record], columns)
     return 0
 
 
@@ -362,21 +360,10 @@ def cmd_expectation(args: argparse.Namespace, config: RunConfig) -> int:
             row["oracle"] = reference
             row["rel_diff"] = abs(value - reference) / scale
         rows.append(row)
-    if config.output_format == "json":
-        for row in rows:
-            _emit_json(row)
-    else:
-        header = ["p", "value", "unit", "unit_power", "method"]
-        if args.with_oracle:
-            header += ["oracle", "rel_diff"]
-        table = []
-        for row in rows:
-            line = [row["p"], row["value"], row["unit"], row["unit_power"],
-                    row["method"]]
-            if args.with_oracle:
-                line += [row["oracle"], row["rel_diff"]]
-            table.append(line)
-        _emit_csv(header, table)
+    columns = ["p", "value", "unit", "unit_power", "method"]
+    if args.with_oracle:
+        columns += ["oracle", "rel_diff"]
+    _emit_rows(config, rows, columns)
     return 0
 
 
@@ -471,20 +458,10 @@ def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
                 abs(reference), sys.float_info.min
             )
         rows.append(row)
-    if config.output_format == "json":
-        for row in rows:
-            _emit_json(row)
-    else:
-        header = ["r_bohr", "value", "unit", "method"]
-        if oracle_fn is not None:
-            header += ["oracle", "rel_diff"]
-        table = []
-        for row in rows:
-            line = [row["r_bohr"], row["value"], row["unit"], row["method"]]
-            if oracle_fn is not None:
-                line += [row["oracle"], row["rel_diff"]]
-            table.append(line)
-        _emit_csv(header, table)
+    columns = ["r_bohr", "value", "unit", "method"]
+    if oracle_fn is not None:
+        columns += ["oracle", "rel_diff"]
+    _emit_rows(config, rows, columns)
     return 0
 
 
@@ -574,7 +551,6 @@ def _suite_rel_oracle(small: bool, rel_tol: float, budget: int) -> list:
 
 
 def _suite_rel_special(small: bool) -> list:
-    cases = ("r2", "r1", "one", "rm1", "rm2", "rm3")
     worst = 0.0
     norm_worst = 0.0
     kappas = (-2, -1, 1) if small else (-3, -2, -1, 1, 2, 3)
@@ -589,9 +565,7 @@ def _suite_rel_special(small: bool) -> list:
                 norm_worst = max(
                     norm_worst, abs(expect_r_power_rel(state, 0).value - 1.0)
                 )
-                for case in cases:
-                    p = {"r2": 2, "r1": 1, "one": 0, "rm1": -1,
-                         "rm2": -2, "rm3": -3}[case]
+                for case, p in _SPECIAL_POWERS.items():
                     if 2.0 * state.nu + p + 1.0 <= 0.0:
                         continue
                     want = expect_r_power_rel(state, p).value

@@ -7,8 +7,9 @@ screening potential of the bound electron.
 
 Lengths are in Bohr radii and energies in Hartree throughout; unit
 conversions live in the command-line layer.  Every operation follows the
-type of ``Z``: an int or Fraction charge propagates exact rational
-arithmetic, a float charge stays in binary64.
+number field of ``Z`` (`specfun`'s rule): an int or Fraction charge
+propagates exact rational arithmetic, a float charge stays in binary64
+all the way down to the discrete Chebyshev series.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .angular import clebsch_gordan
 from .laguerre_integrals import JSpec, j_diag_positive, j_integral_incomplete
 from .orthopoly import LaguerreSpec, chebyshev_discrete, laguerre, legendre
+from .specfun import _field
 
 __all__ = [
     "NrState",
@@ -38,10 +40,6 @@ __all__ = [
 ]
 
 Real = Union[int, float, Fraction]
-
-
-def _exact(z: Real) -> bool:
-    return isinstance(z, (int, Fraction)) and not isinstance(z, bool)
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,8 @@ class Expectation:
 
 def energy_nr(state: NrState) -> Real:
     """Bound level -Z^2/(2 n^2) in Hartree."""
-    if _exact(state.Z):
-        return -Fraction(state.Z) ** 2 / (2 * state.n**2)
-    return -(state.Z**2) / (2.0 * state.n**2)
+    z = _field(state.Z)(state.Z)
+    return -(z**2) / (2 * state.n**2)
 
 
 def radial_nr(state: NrState, r):
@@ -115,26 +112,27 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
     admissible down to p = -2l-2.
     """
     n, l = state.n, state.l
+    field = _field(state.Z)
     if p >= -1:
         k = p + 1
-        ratio = 1
+        ratio = field(1)
     else:
         k = -p - 2
         if k > 2 * l:
             raise ValueError(
                 f"p={p} violates p >= -2l-2 = {-2 * l - 2}: integral diverges"
             )
-        ratio = Fraction(
-            math.factorial(2 * l - k), math.factorial(2 * l + k + 1)
-        )
-    t = chebyshev_discrete(k, n - l - 1, -(2 * l + 1)) * ratio
-    if _exact(state.Z):
-        scale = Fraction(n) / (2 * Fraction(state.Z))
-        value = Fraction(t) * scale**p / (2 * n)
-    else:
-        scale = n / (2.0 * state.Z)
-        value = float(t) * scale**p / (2.0 * n)
+        ratio = field(_inversion_ratio(l, k))
+    # x carries the field; an int N keeps the Hahn prefactor in int arithmetic
+    t = chebyshev_discrete(k, field(n - l - 1), -(2 * l + 1)) * ratio
+    scale = n / (2 * field(state.Z))
+    value = t * scale**p / (2 * n)
     return Expectation(value, p, "bohr_radius", "closed_form")
+
+
+def _inversion_ratio(l: int, k: int) -> Fraction:
+    """(2l-k)!/(2l+k+1)!, the factor tying <1/r^{k+2}> to <r^{k-1}>."""
+    return Fraction(math.factorial(2 * l - k), math.factorial(2 * l + k + 1))
 
 
 def expect_recurrence_nr(state: NrState, k_max: int) -> list:
@@ -146,12 +144,10 @@ def expect_recurrence_nr(state: NrState, k_max: int) -> list:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     n, l = state.n, state.l
-    if _exact(state.Z):
-        scale = Fraction(n) / (2 * Fraction(state.Z))
-        values = [Fraction(state.Z) / n**2, Fraction(1)]
-    else:
-        scale = n / (2.0 * state.Z)
-        values = [state.Z / n**2, 1.0]
+    field = _field(state.Z)
+    z = field(state.Z)
+    scale = n / (2 * z)
+    values = [z / n**2, field(1)]
     for k in range(1, k_max + 1):
         lead = 2 * n * (2 * k + 1) * scale * values[-1]
         trail = k * ((2 * l + 1) ** 2 - k**2) * scale**2 * values[-2]
@@ -172,14 +168,9 @@ def inversion_check_nr(state: NrState, k: int):
     if not 0 <= k <= 2 * l:
         raise ValueError(f"k={k} violates 0 <= k <= 2l = {2 * l}")
     lhs = expect_r_power_nr(state, -(k + 2)).value
-    if _exact(state.Z):
-        factor = (2 * Fraction(state.Z) / state.n) ** (2 * k + 1) * Fraction(
-            math.factorial(2 * l - k), math.factorial(2 * l + k + 1)
-        )
-    else:
-        factor = (2.0 * state.Z / state.n) ** (2 * k + 1) * (
-            math.factorial(2 * l - k) / math.factorial(2 * l + k + 1)
-        )
+    field = _field(state.Z)
+    factor = (2 * field(state.Z) / state.n) ** (2 * k + 1)
+    factor *= field(_inversion_ratio(l, k))
     rhs = factor * expect_r_power_nr(state, k - 1).value
     return lhs, rhs
 
@@ -188,9 +179,7 @@ def deviation_nr(state: NrState) -> Real:
     """Mean square deviation <(r - <r>)^2> in a0^2 units."""
     n, l = state.n, state.l
     shape = n**2 * (n**2 + 2) - l**2 * (l + 1) ** 2
-    if _exact(state.Z):
-        return Fraction(1, 4) * shape / Fraction(state.Z) ** 2
-    return shape / (2.0 * state.Z) ** 2
+    return shape / (2 * _field(state.Z)(state.Z)) ** 2
 
 
 def virial_check_nr(state: NrState):

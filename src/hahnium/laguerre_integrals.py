@@ -31,13 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .orthopoly import LaguerreSpec, chebyshev_discrete, laguerre
 from .specfun import (
     HypSeriesSpec,
-    hyp_terminating,
-    hyp_terminating_exact,
+    _compensated_sum,
+    _field,
+    _gamma,
+    _hyp_in,
     inc_gamma_upper,
     pochhammer,
 )
@@ -59,10 +61,6 @@ __all__ = [
 ]
 
 Real = Union[int, float, Fraction]
-
-
-def _is_exact(value: Real) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _is_integer_valued(value: Real) -> bool:
@@ -156,6 +154,21 @@ def _pick_route(spec: JSpec, route: str) -> str:
     return route
 
 
+def _j_value(spec: JSpec, route: str, field: type):
+    """Shared body of `j_integral` (field float) and `j_integral_exact`
+    (field Fraction, spec already converted)."""
+    scale = _gamma(field(spec.alpha + spec.s) + 1)
+    scale *= field(pochhammer(spec.beta + 1, spec.m))
+    if _pick_route(spec, route) == "direct":
+        steps, series = spec.n, _series_direct(spec)
+    else:
+        steps, series = spec.n - spec.m, _series_transformed(spec)
+    sign = -1 if steps % 2 else 1
+    weight = field(pochhammer(spec.s - steps + 1, steps))
+    weight /= math.factorial(steps) * math.factorial(spec.m)
+    return sign * scale * weight * _hyp_in(field, series)
+
+
 def j_integral(spec: JSpec, route: str = "auto") -> float:
     """Master integral as a float.
 
@@ -164,20 +177,7 @@ def j_integral(spec: JSpec, route: str = "auto") -> float:
     is regular for the given s.  Both are exposed so callers can assert
     their agreement wherever both are finite.
     """
-    scale = math.gamma(float(spec.alpha + spec.s) + 1.0)
-    scale *= float(pochhammer(spec.beta + 1, spec.m))
-    if _pick_route(spec, route) == "direct":
-        sign = -1.0 if spec.n % 2 else 1.0
-        weight = float(pochhammer(spec.s - spec.n + 1, spec.n))
-        weight /= math.factorial(spec.n) * math.factorial(spec.m)
-        series = hyp_terminating(_series_direct(spec))
-    else:
-        d = spec.n - spec.m
-        sign = -1.0 if d % 2 else 1.0
-        weight = float(pochhammer(spec.s - d + 1, d))
-        weight /= math.factorial(spec.m) * math.factorial(d)
-        series = hyp_terminating(_series_transformed(spec))
-    return sign * scale * weight * series
+    return _j_value(spec, route, float)
 
 
 def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
@@ -190,23 +190,28 @@ def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
     if total.denominator != 1 or total < 0:
         raise ValueError("exact evaluation needs integer alpha + s >= 0")
     spec = JSpec(spec.n, spec.m, Fraction(spec.s), Fraction(spec.alpha), Fraction(spec.beta))
-    scale = Fraction(math.factorial(int(total))) * pochhammer(spec.beta + 1, spec.m)
-    if _pick_route(spec, route) == "direct":
-        sign = -1 if spec.n % 2 else 1
-        weight = Fraction(
-            pochhammer(spec.s - spec.n + 1, spec.n),
-            math.factorial(spec.n) * math.factorial(spec.m),
-        )
-        series = hyp_terminating_exact(_series_direct(spec))
-    else:
-        d = spec.n - spec.m
-        sign = -1 if d % 2 else 1
-        weight = Fraction(
-            pochhammer(spec.s - d + 1, d),
-            math.factorial(spec.m) * math.factorial(d),
-        )
-        series = hyp_terminating_exact(_series_transformed(spec))
-    return sign * scale * weight * series
+    return _j_value(spec, route, Fraction)
+
+
+def _norm_sq(n: int, alpha):
+    """Squared norm Gamma(alpha+n+1)/n! of L_n^alpha, in the field of alpha."""
+    return _gamma(alpha + n + 1) / math.factorial(n)
+
+
+def _diag_positive(n: int, alpha, k: int):
+    """Body of `j_diag_positive` and its exact twin: alpha is a float or
+    an int, and the result follows its field."""
+    if k < 0:
+        raise ValueError("k must be a nonnegative integer")
+    return _norm_sq(n, alpha) * chebyshev_discrete(k, n, -alpha)
+
+
+def _diag_negative(n: int, alpha, k: int):
+    """Body of `j_diag_negative` and its exact twin, as `_diag_positive`."""
+    if not 0 <= k < alpha:
+        raise ValueError("need 0 <= k < alpha")
+    norm = _norm_sq(n, alpha) / pochhammer(alpha - k, 2 * k + 1)
+    return norm * chebyshev_discrete(k, n, -alpha)
 
 
 def j_diag_positive(n: int, alpha: float, k: int) -> float:
@@ -215,20 +220,14 @@ def j_diag_positive(n: int, alpha: float, k: int) -> float:
     Equals the squared norm Gamma(alpha+n+1)/n! times the discrete Chebyshev
     polynomial t_k(n, -alpha).
     """
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    norm = math.gamma(float(alpha) + n + 1.0) / math.factorial(n)
-    return norm * float(chebyshev_discrete(k, n, -float(alpha)))
+    return _diag_positive(n, float(alpha), k)
 
 
 def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    """`j_diag_positive` in exact arithmetic; needs integer alpha, alpha + n >= 0."""
     if not _is_integer_valued(alpha) or alpha + n < 0:
         raise ValueError("exact evaluation needs integer alpha with alpha + n >= 0")
-    alpha = int(alpha)
-    norm = Fraction(math.factorial(alpha + n), math.factorial(n))
-    return norm * chebyshev_discrete(k, n, Fraction(-alpha))
+    return _diag_positive(n, int(alpha), k)
 
 
 def j_diag_negative(n: int, alpha: float, k: int) -> float:
@@ -238,22 +237,14 @@ def j_diag_negative(n: int, alpha: float, k: int) -> float:
     by the Pochhammer run (alpha-k)_(2k+1), which is where the k < alpha
     convergence bound shows up.
     """
-    if not 0 <= k < alpha:
-        raise ValueError("need 0 <= k < alpha")
-    norm = math.gamma(float(alpha) + n + 1.0) / math.factorial(n)
-    norm /= float(pochhammer(float(alpha) - k, 2 * k + 1))
-    return norm * float(chebyshev_discrete(k, n, -float(alpha)))
+    return _diag_negative(n, float(alpha), k)
 
 
 def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
-    if not 0 <= k < alpha:
-        raise ValueError("need 0 <= k < alpha")
+    """`j_diag_negative` in exact arithmetic; needs integer alpha."""
     if not _is_integer_valued(alpha):
         raise ValueError("exact evaluation needs integer alpha")
-    alpha = int(alpha)
-    norm = Fraction(math.factorial(alpha + n), math.factorial(n))
-    norm /= pochhammer(Fraction(alpha - k), 2 * k + 1)
-    return norm * chebyshev_discrete(k, n, Fraction(-alpha))
+    return _diag_negative(n, int(alpha), k)
 
 
 def _shape_derivative(m: int, beta: float, s: float, order: int, z: float) -> float:
@@ -262,21 +253,13 @@ def _shape_derivative(m: int, beta: float, s: float, order: int, z: float) -> fl
     Termwise differentiation of the monomial expansion; the gamma ratio per
     term is a Pochhammer of length `order`, finite for every real s.
     """
-    total = 0.0
-    comp = 0.0
+    terms = []
     coeff = 1.0  # (-m)_j / (j! (beta+1)_j), updated in place
     for j in range(m + 1):
         term = coeff * float(pochhammer(s + j - order + 1, order))
-        term *= z ** (s + j - order)
-        # Neumaier update keeps alternating-sign sums honest.
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
+        terms.append(term * z ** (s + j - order))
         coeff *= (j - m) / ((j + 1) * (beta + 1 + j))
-    return (total + comp) * float(pochhammer(beta + 1, m)) / math.factorial(m)
+    return _compensated_sum(terms) * float(pochhammer(beta + 1, m)) / math.factorial(m)
 
 
 def j_integral_incomplete(spec: JSpec, z: float) -> float:
@@ -324,25 +307,19 @@ def connection_coeffs(n: int, alpha: Real, beta: Real) -> list:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    exact = _is_exact(alpha) and _is_exact(beta)
-    out = []
-    for m in range(n + 1):
-        d = n - m
-        run = pochhammer(alpha - beta, d)
-        if exact:
-            out.append(Fraction(run) / math.factorial(d))
-        else:
-            out.append(float(run) / math.factorial(d))
-    return out
+    field = _field(alpha, beta)
+    return [
+        field(pochhammer(alpha - beta, n - m)) / math.factorial(n - m)
+        for m in range(n + 1)
+    ]
 
 
-def _linearization_single(n: int, m: int, p: int, alpha: Real, exact: bool) -> Real:
-    one = Fraction(1) if exact else 1.0
+def _linearization_single(n: int, m: int, p: int, alpha: Real, field: type) -> Real:
     lead = pochhammer(-p, n - m)  # kills p < n - m
     if lead == 0:
-        return 0 * one
-    total = 0 * one
-    coeff = one  # (-p)_k (-m)_k / (k! (alpha+1)_k)
+        return field(0)
+    total = field(0)
+    coeff = field(1)  # (-p)_k (-m)_k / (k! (alpha+1)_k)
     for k in range(min(p, m) + 1):
         gap = n - m - p + 2 * k
         # gap < 0 means the reciprocal gamma of the term is at a pole: the
@@ -350,8 +327,8 @@ def _linearization_single(n: int, m: int, p: int, alpha: Real, exact: bool) -> R
         if gap >= 0:
             total += coeff * math.factorial(2 * k) / math.factorial(gap)
         coeff = coeff * ((k - p) * (k - m)) / ((k + 1) * (alpha + 1 + k))
-    pref = lead * pochhammer(alpha + 1, m)
-    pref = one * pref / (math.factorial(p) * math.factorial(m))
+    pref = field(lead * pochhammer(alpha + 1, m))
+    pref /= math.factorial(p) * math.factorial(m)
     return -pref * total if p % 2 else pref * total
 
 
@@ -363,11 +340,10 @@ def linearization_coeffs(n: int, m: int, alpha: Real) -> LinearizationTriple:
     """
     if m < 0 or n < m:
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    exact = _is_exact(alpha)
-    if exact:
-        alpha = Fraction(alpha)
+    field = _field(alpha)
+    alpha = field(alpha)
     coeffs = tuple(
-        _linearization_single(n, m, p, alpha, exact) for p in range(n - m, n + m + 1)
+        _linearization_single(n, m, p, alpha, field) for p in range(n - m, n + m + 1)
     )
     return LinearizationTriple(n, m, alpha, coeffs)
 
@@ -381,52 +357,42 @@ def linearization_closed_form(n: int, m: int, p: int, alpha: Real) -> Real:
     """
     if m < 0 or n < m:
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    exact = _is_exact(alpha)
-    one = Fraction(1) if exact else 1.0
-    if exact:
-        alpha = Fraction(alpha)
+    field = _field(alpha)
+    alpha = field(alpha)
     gap = p - n + m
     if gap < 0 or p > n + m:
-        return 0 * one
+        return field(0)
     if gap == 0:
         # Chu-Vandermonde collapse of the general sum.
-        return one * pochhammer(alpha + 1, n) / (
+        return pochhammer(alpha + 1, n) / (
             math.factorial(m) * pochhammer(alpha + 1, n - m)
         )
     # Shift the sum to start at its smallest admissible index k0 and split
     # (2k0+2j)! and the step factorial by the duplication formula: the
     # (k0+1)_j pair cancels, leaving a terminating 3F2.
-    half = one / 2
+    half = field(1) / 2
     sign = -1 if p % 2 else 1
     k0 = (gap + 1) // 2
-    pref = pochhammer(-p, n - m) * pochhammer(-p, k0) * pochhammer(-m, k0)
-    pref = one * pref / (math.factorial(p) * math.factorial(m))
-    pref *= Fraction(math.factorial(2 * k0), math.factorial(k0)) if exact else (
-        math.factorial(2 * k0) / math.factorial(k0)
-    )
+    pref = field(pochhammer(-p, n - m) * pochhammer(-p, k0) * pochhammer(-m, k0))
+    pref /= math.factorial(p) * math.factorial(m)
+    pref *= field(math.factorial(2 * k0) // math.factorial(k0))
     pref *= pochhammer(alpha + k0 + 1, m - k0)
     series = HypSeriesSpec(
         (k0 - p, k0 - m, k0 + half),
         (half if gap % 2 == 0 else 3 * half, alpha + k0 + 1),
     )
-    body = hyp_terminating_exact(series) if exact else hyp_terminating(series)
-    return sign * pref * body
+    return sign * pref * _hyp_in(field, series)
 
 
 def triple_product_integral(n: int, m: int, p: int, alpha: Real) -> Real:
     """Weighted integral of L_n^alpha L_m^alpha L_p^alpha against x^alpha e^-x.
 
     Norm of L_p times the linearization coefficient.  The sign pattern
-    (-1)^(n+m+p) times this is nonnegative for alpha > -1.
+    (-1)^(n+m+p) times this is nonnegative for alpha > -1.  Exact
+    evaluation needs integer alpha + p >= 0.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    exact = _is_exact(alpha)
-    if exact:
-        alpha = Fraction(alpha)
-        if (alpha + p).denominator != 1 or alpha + p < 0:
-            raise ValueError("exact evaluation needs integer alpha + p >= 0")
-        norm = Fraction(math.factorial(int(alpha) + p), math.factorial(p))
-    else:
-        norm = math.gamma(float(alpha) + p + 1.0) / math.factorial(p)
-    return norm * _linearization_single(n, m, p, alpha, exact)
+    field = _field(alpha)
+    alpha = field(alpha)
+    return _norm_sq(p, alpha) * _linearization_single(n, m, p, alpha, field)

@@ -108,9 +108,12 @@ def quad_semi_infinite(
     * head, x = x1*t^m: m = 1 for integer sigma >= 0; m = 1/(sigma+1)
       for sigma < 0, which absorbs x^sigma; else m = ceil(4/(sigma+1)),
       which leaves t^(m*(sigma+1)-1), flat to third order at t = 0.
-    * tail, x = x1 - s*log(1-t), s = max(16, reach/36)/d with
+    * tail, x = x1 - s*log(1-t), s = max(16, reach/36, q/4)/d with
       reach = 74 + 1.5*q: exp(-d*x) becomes (1-t)^(s*d), at least
-      (1-t)^16, which flattens the powers of log(1-t) at t = 1.
+      (1-t)^16, which flattens the powers of log(1-t) at t = 1.  The
+      q/4 term (it only acts for q > 64) keeps the peak of x^q e^(-d*x)
+      at d*x ~ q near 1-t ~ e^(-4) instead of squeezing it against
+      t = 1, where refinement would starve for q in the hundreds.
 
     Tail nodes beyond x_max = x1 + reach/d contribute 0 and never reach
     the integrand: the exp(-d*x) x^q mass there is below 1e-20 of the
@@ -149,8 +152,9 @@ def quad_semi_infinite(
         head_power = 1.0
     else:
         head_power = float(math.ceil(4.0 / (sigma + 1.0)))
-    reach = 74.0 + 1.5 * max(float(polynomial_degree), 0.0)
-    stretch = max(16.0, reach / 36.0) / decay_rate
+    degree = max(float(polynomial_degree), 0.0)
+    reach = 74.0 + 1.5 * degree
+    stretch = max(16.0, reach / 36.0, degree / 4.0) / decay_rate
     x_max = x1 + reach / decay_rate
 
     # One coordinate u carries both pieces: the head's t = u on (0, 1),

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .specfun import HypSeriesSpec, hyp_terminating, hyp_terminating_exact, pochhammer
+from .specfun import HypSeriesSpec, _field, _hyp_in, pochhammer
 
 __all__ = [
     "HahnParams",
@@ -27,10 +26,6 @@ __all__ = [
     "laguerre_derivative",
     "legendre",
 ]
-
-
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -102,9 +97,8 @@ def hahn(params: HahnParams, x):
     spec = HypSeriesSpec((-k, alpha + beta + k + 1, -x), (beta + 1, 1 - big_n), 1)
     prefactor = pochhammer(big_n - k, k) * pochhammer(beta + 1, k)
     sign = -1 if k % 2 else 1
-    if _is_exact(x) and all(_is_exact(v) for v in (alpha, beta, big_n)):
-        return Fraction(sign, math.factorial(k)) * prefactor * hyp_terminating_exact(spec)
-    return sign * float(prefactor) * hyp_terminating(spec) / math.factorial(k)
+    field = _field(x, alpha, beta, big_n)
+    return sign * field(prefactor) * _hyp_in(field, spec) / math.factorial(k)
 
 
 def chebyshev_discrete(k: int, x, big_n):
@@ -121,8 +115,7 @@ def hahn_recurrence_rhs(k: int, alpha, beta, big_n, x, h_prev, h_curr):
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    exact = all(_is_exact(v) for v in (alpha, beta, big_n, x, h_prev, h_curr))
-    one = Fraction(1) if exact else 1.0
+    one = _field(alpha, beta, big_n, x, h_prev, h_curr)(1)
     ab = alpha + beta
     lead = one * (k + 1) * (ab + k + 1) / ((ab + 2 * k + 1) * (ab + 2 * k + 2))
     if lead == 0:
@@ -168,8 +161,7 @@ def jacobi(n: int, alpha, beta, s):
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    exact = all(_is_exact(v) for v in (alpha, beta, s))
-    one = Fraction(1) if exact else 1.0
+    one = _field(alpha, beta, s)(1)
     prev = s * 0 + 1
     if n == 0:
         return prev

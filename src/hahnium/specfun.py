@@ -1,9 +1,16 @@
 """Gamma-family primitives and terminating hypergeometric series.
 
-Everything here is a pure function of its arguments.  Float paths run in
-binary64 with compensated summation; every series evaluator has an exact
-twin over `fractions.Fraction`, and the exact path is the arbiter
-whenever two float routes disagree.
+Everything here is a pure function of its arguments.
+
+Number fields: a closed form is evaluated exactly, over
+`fractions.Fraction`, if and only if every numeric input is an `int`
+(not `bool`) or a `Fraction`; otherwise it runs in binary64.  `_field`
+is the one place that applies this rule, and every closed form follows
+its answer through a single code path.  Pairs of entries that name
+their field instead (`hyp_terminating` and `hyp_terminating_exact`,
+and likewise `j_integral` and the `j_diag_*` functions) convert their
+inputs to it and share that path.  Compensated summation is for
+binary64 only; exact sums need none.
 """
 
 from __future__ import annotations
@@ -14,37 +21,57 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "BigRational",
     "HypSeriesSpec",
     "gamma_ratio",
     "gauss_2f1_unit",
     "hyp_terminating",
     "hyp_terminating_exact",
     "inc_gamma_upper",
-    "ln_gamma",
     "pochhammer",
     "recip_gamma",
     "thomae_image",
 ]
-
-# Arbitrary-precision rationals: always lowest terms, denominator > 0.
-BigRational = Fraction
 
 _MAX_LENTZ_ITER = 500
 _MAX_SERIES_ITER = 10_000
 _TINY = 1e-300
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive argument.
+def _field(*values) -> type:
+    """The number field of `values`: `Fraction` when every one is an int
+    (not a bool) or a Fraction, `float` otherwise."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            return float
+    return Fraction
 
-    Negative arguments are never needed by callers: gamma ratios at
-    negative points are rewritten as Pochhammer symbols or routed
-    through `recip_gamma` instead.
+
+def _gamma(x):
+    """Gamma(x) in the field of x: a factorial for an exact x, which must
+    then be a positive integer, and `math.gamma` for a float."""
+    if _field(x) is float:
+        return math.gamma(x)
+    if x != int(x) or x < 1:
+        raise ValueError(
+            f"exact evaluation needs a positive integer gamma argument, got {x}"
+        )
+    return Fraction(math.factorial(int(x) - 1))
+
+
+def _compensated_sum(terms) -> float:
+    """Neumaier-compensated binary64 sum of `terms`, in their order.
+
+    Keeps alternating-sign sums honest; exact sums need no compensation.
     """
-    if x <= 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    total = carry = 0.0
+    for term in terms:
+        fresh = total + term
+        if abs(total) >= abs(term):
+            carry += (total - fresh) + term
+        else:
+            carry += (term - fresh) + total
+        total = fresh
+    return total + carry
 
 
 def pochhammer(a, n: int):
@@ -114,63 +141,46 @@ class HypSeriesSpec:
         return min(stops)
 
 
-def hyp_terminating(spec: HypSeriesSpec) -> float:
-    """Terminating series value in binary64 with compensated accumulation."""
+def _hyp_sum(spec: HypSeriesSpec, field: type):
+    """The terminating series summed in `field` (float or Fraction)."""
     order = spec.termination_index()
-    nums = [float(a) for a in spec.numerator_params]
-    dens = [float(b) for b in spec.denominator_params]
-    z = float(spec.argument)
-    total = 0.0
-    carry = 0.0
-    term = 1.0
-    for k in range(order + 1):
-        # Neumaier update: keeps alternating partial sums honest.
-        fresh = total + term
-        if abs(total) >= abs(term):
-            carry += (total - fresh) + term
-        else:
-            carry += (term - fresh) + total
-        total = fresh
-        if k == order:
-            break
+    nums = [field(a) for a in spec.numerator_params]
+    dens = [field(b) for b in spec.denominator_params]
+    z = field(spec.argument)
+    term = field(1)
+    terms = [term]
+    for k in range(order):
         ratio = z / (k + 1)
         for a in nums:
             ratio *= a + k
         for b in dens:
-            if b + k == 0.0:
+            factor = b + k
+            if factor == 0:
                 raise ValueError(
                     f"denominator parameter {b} hits a pole at index {k + 1} "
                     f"before termination at {order}"
                 )
-            ratio /= b + k
+            ratio /= factor
         term *= ratio
-    return total + carry
+        terms.append(term)
+    return _compensated_sum(terms) if field is float else sum(terms)
+
+
+def hyp_terminating(spec: HypSeriesSpec) -> float:
+    """Terminating series value in binary64 with compensated accumulation."""
+    return _hyp_sum(spec, float)
 
 
 def hyp_terminating_exact(spec: HypSeriesSpec) -> Fraction:
-    """Exact rational twin of `hyp_terminating` (parameters must be rational)."""
-    order = spec.termination_index()
-    nums = [Fraction(a) for a in spec.numerator_params]
-    dens = [Fraction(b) for b in spec.denominator_params]
-    z = Fraction(spec.argument)
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(order + 1):
-        total += term
-        if k == order:
-            break
-        ratio = z / (k + 1)
-        for a in nums:
-            ratio *= a + k
-        for b in dens:
-            if b + k == 0:
-                raise ValueError(
-                    f"denominator parameter {b} hits a pole at index {k + 1} "
-                    f"before termination at {order}"
-                )
-            ratio /= b + k
-        term *= ratio
-    return total
+    """Terminating series value over Fraction (parameters must be rational)."""
+    return _hyp_sum(spec, Fraction)
+
+
+def _hyp_in(field: type, spec: HypSeriesSpec):
+    """The series through the public evaluator of `field`."""
+    if field is Fraction:
+        return hyp_terminating_exact(spec)
+    return hyp_terminating(spec)
 
 
 def _ln_gamma_signed(x: float) -> tuple[float, int]:

@@ -252,3 +252,16 @@ def test_rational_fallback_consistent_with_float_route():
         fallback = _rc8_rational_fallback(state, p)
         direct = expect_r_power_rel(state, p).value
         assert abs(fallback - direct) <= 1e-11 * abs(direct)
+
+
+@pytest.mark.parametrize("n_r", [1, 2])
+@pytest.mark.parametrize("gap", [1e-3, 2e-4, 1.1e-4, 1e-5])
+def test_moments_near_critical_charge_match_oracle(n_r, gap):
+    # Z = 1/alpha - gap: the three terms cancel to ratios of 1e5..1e7,
+    # where the float sum loses ~1e-14 per unit of ratio.  p >= 0 keeps
+    # the oracle's head exponent 2*nu - 1 + p away from -1.
+    state = RelState(1.0 / ALPHA_FS - gap, n_r, 1)
+    for p in (16, 19, 22, 24):
+        got = expect_r_power_rel(state, p).value
+        want = brute_expect_rel(state, p)
+        assert abs(got - want) <= 1e-9 * abs(want), (n_r, gap, p)

@@ -92,6 +92,18 @@ def test_tail_stops_at_reach():
         seen.clear()
 
 
+@pytest.mark.parametrize("degree", [300, 600, 1000])
+def test_tail_keeps_high_degree_peak_resolvable(degree):
+    # x^q e^(-2x) / q! peaks at x ~ q/2; a stretch that ignores q pushes
+    # the peak against t = 1 and refinement runs out of budget
+    def integrand(x):
+        return np.exp(degree * np.log(2.0 * x) - 2.0 * x - math.lgamma(degree + 1.0))
+
+    res = quad_semi_infinite(integrand, degree, 2.0, 1e-12, polynomial_degree=degree)
+    assert abs(res.value - 0.5) <= 1e-12 * 0.5
+    assert res.evaluations <= 2000, res.evaluations
+
+
 def test_decay_rate_rescales_tail():
     # integral of x^(a-1) e^(-3x) = Gamma(a) / 3^a
     def integrand(x):

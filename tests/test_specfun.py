@@ -18,7 +18,6 @@ from hahnium.specfun import (
     hyp_terminating,
     hyp_terminating_exact,
     inc_gamma_upper,
-    ln_gamma,
     pochhammer,
     recip_gamma,
     thomae_image,
@@ -43,13 +42,6 @@ def test_pochhammer_small_values():
 )
 def test_pochhammer_splits_at_any_midpoint(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
-
-
-def test_ln_gamma_matches_stdlib():
-    for x in (0.03, 0.5, 1.0, 4.75, 20.0, 171.5):
-        assert math.isclose(ln_gamma(x), math.lgamma(x), rel_tol=1e-14, abs_tol=1e-14)
-    with pytest.raises(ValueError):
-        ln_gamma(0.0)
 
 
 def test_reflection_formula():
