@@ -23,7 +23,7 @@ import numpy as np
 
 from .angular import clebsch_gordan
 from .laguerre_integrals import JSpec, j_diag_positive, j_integral_incomplete
-from .orthopoly import LaguerreSpec, chebyshev_discrete, laguerre, legendre
+from .orthopoly import HahnParams, LaguerreSpec, _hahn_split, laguerre, legendre
 from .specfun import _field
 
 __all__ = [
@@ -115,16 +115,19 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
     field = _field(state.Z)
     if p >= -1:
         k = p + 1
-        ratio = field(1)
+        ratio = 1
     else:
         k = -p - 2
         if k > 2 * l:
             raise ValueError(
                 f"p={p} violates p >= -2l-2 = {-2 * l - 2}: integral diverges"
             )
-        ratio = field(_inversion_ratio(l, k))
-    # x carries the field; an int N keeps the Hahn prefactor in int arithmetic
-    t = chebyshev_discrete(k, field(n - l - 1), -(2 * l + 1)) * ratio
+        ratio = _inversion_ratio(l, k)
+    # x carries the field into the series; the int prefactor
+    # (-1)^k (N-k)_k k!, ~(4l+1)! at k = 2l, meets k! and the ratio first
+    params = HahnParams(k, 0, 0, -(2 * l + 1))
+    _, prefactor, series = _hahn_split(params, field(n - l - 1))
+    t = field(prefactor // math.factorial(k) * ratio) * series
     scale = n / (2 * field(state.Z))
     value = t * scale**p / (2 * n)
     return Expectation(value, p, "bohr_radius", "closed_form")

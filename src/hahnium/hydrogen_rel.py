@@ -232,16 +232,8 @@ def _rc8_terms(n: int, kappa: int, p: int, eps: float, nu: float, a: float, mu: 
 
 
 def _poch_int(x: Fraction, k: int) -> Fraction:
-    """(x)_k for integer k of either sign, exact."""
-    if k >= 0:
-        out = Fraction(1)
-        for i in range(k):
-            out *= x + i
-        return out
-    out = Fraction(1)
-    for i in range(1, -k + 1):
-        out *= x - i
-    return 1 / out
+    """(x)_k for integer k of either sign, exact: (x)_{-j} = 1/(x-j)_j."""
+    return pochhammer(x, k) if k >= 0 else 1 / pochhammer(x + k, -k)
 
 
 def _sqrt_frac(x: Fraction, digits: int = 60) -> Fraction:

@@ -40,6 +40,7 @@ from .specfun import (
     _field,
     _gamma,
     _hyp_in,
+    _integer_value,
     inc_gamma_upper,
     pochhammer,
 )
@@ -63,14 +64,6 @@ __all__ = [
 Real = Union[int, float, Fraction]
 
 
-def _is_integer_valued(value: Real) -> bool:
-    if isinstance(value, int):
-        return True
-    if isinstance(value, Fraction):
-        return value.denominator == 1
-    return float(value).is_integer()
-
-
 @dataclass(frozen=True)
 class JSpec:
     """Parameters of the master integral.
@@ -90,7 +83,7 @@ class JSpec:
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < self.m:
             raise ValueError(f"need n >= m >= 0, got n={self.n}, m={self.m}")
-        if not _is_integer_valued(self.alpha - self.beta):
+        if _integer_value(self.alpha - self.beta) is None:
             raise ValueError("alpha - beta must be an integer")
         if not self.alpha + self.s > -1:
             raise ValueError("need alpha + s > -1 for convergence")
@@ -146,7 +139,7 @@ def _pick_route(spec: JSpec, route: str) -> str:
         # the direct denominator pole sits beyond the termination index.
         # Everything else, including s = 0, goes through the transform,
         # whose denominators (beta+1, n-m+1) are never at a pole.
-        if _is_integer_valued(spec.s) and spec.s <= -1:
+        if _integer_value(spec.s) is not None and spec.s <= -1:
             return "direct"
         return "transformed"
     if route not in ("direct", "transformed"):
@@ -225,7 +218,7 @@ def j_diag_positive(n: int, alpha: float, k: int) -> float:
 
 def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
     """`j_diag_positive` in exact arithmetic; needs integer alpha, alpha + n >= 0."""
-    if not _is_integer_valued(alpha) or alpha + n < 0:
+    if _integer_value(alpha) is None or alpha + n < 0:
         raise ValueError("exact evaluation needs integer alpha with alpha + n >= 0")
     return _diag_positive(n, int(alpha), k)
 
@@ -242,7 +235,7 @@ def j_diag_negative(n: int, alpha: float, k: int) -> float:
 
 def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
     """`j_diag_negative` in exact arithmetic; needs integer alpha."""
-    if not _is_integer_valued(alpha):
+    if _integer_value(alpha) is None:
         raise ValueError("exact evaluation needs integer alpha")
     return _diag_negative(n, int(alpha), k)
 

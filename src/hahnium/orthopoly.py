@@ -92,13 +92,23 @@ def hahn(params: HahnParams, x):
     otherwise.  Raises if the series' denominator Pochhammer vanishes
     before termination (possible only for positive integer N <= k).
     """
+    field, prefactor, series = _hahn_split(params, x)
+    return field(prefactor) * series / math.factorial(params.degree)
+
+
+def _hahn_split(params: HahnParams, x):
+    """(field, prefactor, series) with k! h = prefactor * series.
+
+    The prefactor (-1)^k (N-k)_k (beta+1)_k keeps the parameters' type
+    (an int for integer ones), so a caller can scale it exactly before
+    it meets the field, where alone it may overflow.
+    """
     k = params.degree
     alpha, beta, big_n = params.alpha, params.beta, params.N
     spec = HypSeriesSpec((-k, alpha + beta + k + 1, -x), (beta + 1, 1 - big_n), 1)
-    prefactor = pochhammer(big_n - k, k) * pochhammer(beta + 1, k)
-    sign = -1 if k % 2 else 1
+    prefactor = (-1) ** k * pochhammer(big_n - k, k) * pochhammer(beta + 1, k)
     field = _field(x, alpha, beta, big_n)
-    return sign * field(prefactor) * _hyp_in(field, spec) / math.factorial(k)
+    return field, prefactor, _hyp_in(field, spec)
 
 
 def chebyshev_discrete(k: int, x, big_n):

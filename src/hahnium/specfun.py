@@ -88,21 +88,19 @@ def pochhammer(a, n: int):
     return result
 
 
+def _integer_value(x) -> int | None:
+    """int(x) when x is an integer-valued number, else None."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else None
+    return int(x) if float(x).is_integer() else None
+
+
 def _as_nonpositive_int(x) -> int | None:
     """int(x) when x is an integer-valued number <= 0, else None."""
-    if isinstance(x, int):
-        value = x
-    elif isinstance(x, float):
-        if not x.is_integer():
-            return None
-        value = int(x)
-    elif isinstance(x, Fraction):
-        if x.denominator != 1:
-            return None
-        value = int(x)
-    else:
-        return None
-    return value if value <= 0 else None
+    value = _integer_value(x)
+    return value if value is not None and value <= 0 else None
 
 
 def _is_gamma_pole(x) -> bool:
