@@ -15,49 +15,34 @@ parsed inputs, the value(s), the unit, and the method.  Exit codes:
 Half-integer quantum numbers are passed doubled (--two-j 3 is j = 3/2)
 so no float parsing is involved.  Radius grids are always given in Bohr
 radii regardless of the output unit system.
+
+The verify suites hold no checks of their own: each runs functions of
+`hahnium.checks` on a small or a full grid (--budget).  The acceptance
+tests run the same functions on the release grids, which are the larger
+ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .angular import Spinor2, clebsch_gordan_exact, spinor_harmonic
-from .hydrogen_nr import (
-    NrState,
-    energy_nr,
-    expect_r_power_nr,
-    radial_nr,
-    screening_nr,
-)
+from . import checks
+from .hydrogen_nr import NrState, energy_nr, expect_r_power_nr, radial_nr, screening_nr
 from .hydrogen_rel import (
-    _SPECIAL_POWERS,
     ALPHA_FS,
     RelState,
     energy_rel,
-    expect_hahn_form_rel,
     expect_r_power_rel,
-    expect_special_rel,
-    nonrel_limit_suite,
     radial_rel,
     screening_rel_1s,
-    sommerfeld_remainder,
 )
-from .laguerre_integrals import JSpec, j_integral_exact, linearization_coeffs
-from .oracle import (
-    DEFAULT_BUDGET,
-    brute_expect_nr,
-    brute_expect_rel,
-    brute_screening,
-    sphere_quad,
-)
-from .orthopoly import LaguerreSpec, laguerre
+from .oracle import DEFAULT_BUDGET, brute_expect_nr, brute_expect_rel, brute_screening
 
 SCHEMA_VERSION = 1
 
@@ -466,289 +451,45 @@ def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify: the checks of `checks` on a small or a full grid
+
+_FLIP_ANGLES = ((0.4, 0.3), (1.1, 2.0), (2.4, 4.9))
 
 
-def _check(name: str, residual: float, tol: float) -> dict:
-    return {
-        "check": name,
-        "residual": float(residual),
-        "tol": tol,
-        "ok": bool(residual <= tol),
-    }
-
-
-def _window_check(name: str, value: float, lo: float, hi: float) -> dict:
-    residual = 0.0 if lo <= value <= hi else min(abs(value - lo), abs(value - hi))
-    return {
-        "check": f"{name} value={value:.6g} window=[{lo:g},{hi:g}]",
-        "residual": residual,
-        "tol": 0.0,
-        "ok": lo <= value <= hi,
-    }
-
-
-def _suite_nr_oracle(small: bool, rel_tol: float, budget: int) -> list:
-    n_max = 3 if small else 6
-    worst = 0.0
-    for Z in (1.0, 10.0):
-        for n in range(1, n_max + 1):
-            for l in range(n):
-                state = NrState(Z, n, l)
-                for p in range(-2 * l - 2, 5):
-                    got = expect_r_power_nr(state, p).value
-                    want = brute_expect_nr(state, p, rel_tol=rel_tol, budget=budget)
-                    worst = max(worst, abs(got - want) / abs(want))
-    return [_check(f"moment closed form vs quadrature (n<={n_max})", worst, 1e-9)]
-
-
-def _suite_nr_exact(small: bool) -> list:
-    n_max = 4 if small else 8
-    bad = 0
-    for n in range(1, n_max + 1):
-        for l in range(n):
-            state = NrState(Fraction(1), n, l)
-            nf, lf = Fraction(n), Fraction(l)
-            known = {
-                1: (3 * nf * nf - lf * (lf + 1)) / 2,
-                2: nf * nf * (5 * n * n + 1 - 3 * lf * (lf + 1)) / 2,
-                -1: Fraction(1, n * n),
-            }
-            if l >= 1:
-                known[-3] = 2 / (nf**3 * lf * (lf + 1) * (2 * lf + 1))
-            for p, want in known.items():
-                if expect_r_power_nr(state, p).value != want:
-                    bad += 1
-    return [_check(f"rational specials (n<={n_max})", float(bad), 0.0)]
-
-
-def _suite_rel_oracle(small: bool, rel_tol: float, budget: int) -> list:
-    n_max = 2 if small else 4
+def _rel_grid(small: bool, n_r_max: int) -> list:
     kappas = (-2, -1, 1) if small else (-3, -2, -1, 1, 2, 3)
-    worst = 0.0
-    flagged = 0
-    for Z in (1.0, 92.0):
-        for kappa in kappas:
-            if Z * ALPHA_FS >= abs(kappa):
-                continue
-            for n_r in range(n_max + 1):
-                if n_r == 0 and kappa > 0:
-                    continue
-                state = RelState(Z, n_r, kappa)
-                for p in range(-2, 4):
-                    got = expect_r_power_rel(state, p)
-                    flagged += got.cancellation_flag
-                    want = brute_expect_rel(state, p, rel_tol=rel_tol, budget=budget)
-                    worst = max(worst, abs(got.value - want) / abs(want))
-    return [
-        _check(
-            f"moment closed form vs quadrature (n_r<={n_max}, "
-            f"{flagged} cancellation-flagged)",
-            worst,
-            1e-9,
-        )
-    ]
+    return checks.rel_states((1.0, 92.0), kappas, n_r_max)
 
 
-def _suite_rel_special(small: bool) -> list:
-    worst = 0.0
-    norm_worst = 0.0
-    kappas = (-2, -1, 1) if small else (-3, -2, -1, 1, 2, 3)
-    for Z in (1.0, 92.0):
-        for kappa in kappas:
-            if Z * ALPHA_FS >= abs(kappa):
-                continue
-            for n_r in range(0, 3):
-                if n_r == 0 and kappa > 0:
-                    continue
-                state = RelState(Z, n_r, kappa)
-                norm_worst = max(
-                    norm_worst, abs(expect_r_power_rel(state, 0).value - 1.0)
-                )
-                for case, p in _SPECIAL_POWERS.items():
-                    if 2.0 * state.nu + p + 1.0 <= 0.0:
-                        continue
-                    want = expect_r_power_rel(state, p).value
-                    got = expect_special_rel(state, case).value
-                    worst = max(worst, abs(got - want) / abs(want))
-                for p in range(0, 3):
-                    want = expect_r_power_rel(state, p).value
-                    got = expect_hahn_form_rel(state, p, "positive").value
-                    worst = max(worst, abs(got - want) / abs(want))
-    return [
-        _check("explicit cases vs general closed form", worst, 1e-11),
-        _check("normalization <1> = 1", norm_worst, 1e-12),
-    ]
-
-
-def _suite_identities(small: bool) -> list:
-    n_max = 3 if small else 5
-    bad = 0
-    points = (Fraction(3, 7), Fraction(5, 2))
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            for alpha in (Fraction(0), Fraction(2), Fraction(5)):
-                coeffs = linearization_coeffs(n, m, alpha)
-                degrees = range(coeffs.p_min, coeffs.p_max + 1)
-                for x in points:
-                    total = sum(
-                        coeffs.coefficient(p) * laguerre(LaguerreSpec(p, alpha), x)
-                        for p in degrees
-                    )
-                    product = laguerre(LaguerreSpec(n, alpha), x) * laguerre(
-                        LaguerreSpec(m, alpha), x
-                    )
-                    if total != product:
-                        bad += 1
-                if any(
-                    (-1) ** (n + m + p) * coeffs.coefficient(p) < 0
-                    for p in degrees
-                ):
-                    bad += 1
-            orthogonality = j_integral_exact(JSpec(n, m, 0, 1, 1))
-            expected = Fraction(n + 1) if n == m else Fraction(0)
-            if orthogonality != expected:
-                bad += 1
-    return [_check(f"product-integral identity suite (n,m<={n_max})", float(bad), 0.0)]
-
-
-def _apply_sigma_n(spinor: Spinor2, theta: float, phi: float) -> Spinor2:
-    """(sigma . n) applied pointwise; sends branch to -branch with a sign."""
-    ct, st = math.cos(theta), math.sin(theta)
-    phase_down = complex(math.cos(phi), -math.sin(phi))
-    phase_up = phase_down.conjugate()
-    return Spinor2(
-        ct * spinor.up + st * phase_down * spinor.down,
-        st * phase_up * spinor.up - ct * spinor.down,
-    )
-
-
-def _suite_angular(small: bool) -> list:
-    tj_max = 3 if small else 5
-    worst_cg = 0.0
-    for tj1 in range(1, tj_max + 1):
-        for tj2 in range(0, tj_max, 2):
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tm in range(-tj, tj + 1, 2):
-                    total = Fraction(0)
-                    for tm1 in range(-tj1, tj1 + 1, 2):
-                        tm2 = tm - tm1
-                        if abs(tm2) > tj2:
-                            continue
-                        sign, square = clebsch_gordan_exact(
-                            Fraction(tj1, 2), Fraction(tm1, 2),
-                            Fraction(tj2, 2), Fraction(tm2, 2),
-                            Fraction(tj, 2), Fraction(tm, 2),
-                        )
-                        total += square
-                    worst_cg = max(worst_cg, abs(float(total - 1)))
-    worst_orth = 0.0
-    for tj in (1, 3):
-        for branch in (1, -1):
-            for tm in range(-tj, tj + 1, 2):
-                j, m = Fraction(tj, 2), Fraction(tm, 2)
-
-                def overlap(theta, phi, j=j, m=m, branch=branch):
-                    spinor = spinor_harmonic(j, m, branch, theta, phi)
-                    return spinor.norm_squared()
-
-                value = sphere_quad(overlap, 2 * tj + 2).real
-                worst_orth = max(worst_orth, abs(value - 1.0))
-    worst_flip = 0.0
-    for tj in range(1, tj_max + 1, 2):
-        j = Fraction(tj, 2)
-        for tm in range(-tj, tj + 1, 2):
-            m = Fraction(tm, 2)
-            for theta, phi in ((0.4, 0.3), (1.1, 2.0), (2.4, 4.9)):
-                for branch in (1, -1):
-                    got = _apply_sigma_n(
-                        spinor_harmonic(j, m, branch, theta, phi), theta, phi
-                    )
-                    want = spinor_harmonic(j, m, -branch, theta, phi)
-                    worst_flip = max(
-                        worst_flip,
-                        abs(got.up + want.up),
-                        abs(got.down + want.down),
-                    )
-    return [
-        _check("coupling-coefficient orthogonality", worst_cg, 1e-12),
-        _check("spinor harmonic normalization", worst_orth, 1e-12),
-        _check("sigma.n spinor flip", worst_flip, 1e-12),
-    ]
-
-
-def _suite_screening(small: bool) -> list:
-    checks = []
-    worst = 0.0
-    for Z in (1.0, 2.0):
-        for r in (0.1, 1.0, 5.0, 20.0):
-            got = screening_nr(NrState(Z, 1, 0), r)
-            want = (Z - 1.0) / r + math.exp(-2.0 * Z * r) * (Z + 1.0 / r)
-            worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    checks.append(_check("ground-state screening vs explicit form", worst, 1e-10))
-    errs = [
-        abs(screening_rel_1s(1.0, 1.0, alpha_fs=mu)
-            - screening_nr(NrState(1.0, 1, 0), 1.0))
-        for mu in (4e-2, 2e-2, 1e-2)
-    ]
-    checks.append(_window_check("relativistic -> nonrel rate", errs[0] / errs[1], 3.0, 5.0))
-    checks.append(_window_check("relativistic -> nonrel rate", errs[1] / errs[2], 3.0, 5.0))
-    r_small, r_big = 1e-8, 40.0
-    checks.append(
-        _check(
-            "r -> 0 Coulomb limit r*V -> Z",
-            abs(r_small * screening_rel_1s(2.0, r_small) - 2.0),
-            1e-6,
-        )
-    )
-    checks.append(
-        _check(
-            "r -> inf Coulomb limit r*V -> Z-1",
-            abs(r_big * screening_rel_1s(2.0, r_big) - 1.0),
-            1e-6,
-        )
-    )
-    return checks
-
-
-def _suite_limits(small: bool) -> list:
-    checks = []
-    for kappa in (-1, 1):
-        report = nonrel_limit_suite(1, kappa, [4e-3, 2e-3], radius=2.5)
-        for p, ratios in sorted(report["moment_ratios"].items()):
-            checks.append(
-                _window_check(
-                    f"moment mu^2 rate kappa={kappa} p={p}", ratios[0], 3.0, 5.0
-                )
-            )
-    for n_r in (0, 1, 2):
-        rems = [
-            abs(sommerfeld_remainder(n_r, -1, Fraction(m, 1000))) for m in (4, 2, 1)
-        ]
-        checks.append(
-            _window_check(
-                f"level series mu^6 rate n_r={n_r}", rems[0] / rems[1], 55.0, 73.0
-            )
-        )
-        checks.append(
-            _window_check(
-                f"level series mu^6 rate n_r={n_r}", rems[1] / rems[2], 55.0, 73.0
-            )
-        )
-    return checks
-
-
-# Each suite takes (small grid?, oracle rel_tol, quadrature budget).
+# Each suite maps (small grid?, oracle rel_tol, quadrature budget) to its
+# check records; the acceptance tests run the same checks on larger grids.
 _SUITES = {
-    "nr-oracle": _suite_nr_oracle,
-    "nr-exact": lambda small, tol, budget: _suite_nr_exact(small),
-    "rel-oracle": _suite_rel_oracle,
-    "rel-special-cases": lambda small, tol, budget: _suite_rel_special(small),
-    "identities": lambda small, tol, budget: _suite_identities(small),
-    "angular": lambda small, tol, budget: _suite_angular(small),
-    "screening": lambda small, tol, budget: _suite_screening(small),
-    "limits": lambda small, tol, budget: _suite_limits(small),
+    "nr-oracle": lambda small, tol, budget: [
+        checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, tol, budget)],
+    "nr-exact": lambda small, tol, budget: [
+        checks.nr_exact((Fraction(1),), 4 if small else 8)],
+    "rel-oracle": lambda small, tol, budget: checks.rel_oracle(
+        _rel_grid(small, 2 if small else 4), -2, 3, tol, budget),
+    "rel-special-cases": lambda small, tol, budget: checks.rel_special(
+        _rel_grid(small, 2)),
+    "identities": lambda small, tol, budget: [
+        checks.linearization(3 if small else 5, (Fraction(0), Fraction(2), Fraction(5)),
+                             (Fraction(3, 7), Fraction(5, 2))),
+        checks.j_orthogonality(3 if small else 5)],
+    "angular": lambda small, tol, budget: [
+        checks.cg_square_sums(3 if small else 5),
+        checks.spinor_normalization((1, 3)),
+        checks.sigma_flip(range(1, 4 if small else 6, 2), _FLIP_ANGLES)],
+    "screening": lambda small, tol, budget: [
+        checks.screening_ground_state((1.0, 2.0), (0.1, 1.0, 5.0, 20.0)),
+        checks.screening_rel_rate((4e-2, 2e-2, 1e-2), (1.0,)),
+        checks.coulomb_limits((2.0,), 1e-8, 40.0)],
+    "limits": lambda small, tol, budget: [
+        checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3), 2.5),
+        checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])],
 }
+
+_VERIFY_KEYS = ("check", "residual", "tol", "ok")
 
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
@@ -773,7 +514,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
                         "inputs": {"suite": args.suite, "budget": config.verify_budget},
                         "method": "verify",
                         "unit": "dimensionless",
-                        **result,
+                        **{key: result[key] for key in _VERIFY_KEYS},
                     }
                 )
             else:

@@ -111,8 +111,7 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
     t_{-p-2}(n-l-1, -2l-1) times the inversion ratio (2l-k)!/(2l+k+1)!,
     admissible down to p = -2l-2.
     """
-    n, l = state.n, state.l
-    field = _field(state.Z)
+    l = state.l
     if p >= -1:
         k = p + 1
         ratio = 1
@@ -123,19 +122,29 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
                 f"p={p} violates p >= -2l-2 = {-2 * l - 2}: integral diverges"
             )
         ratio = _inversion_ratio(l, k)
-    # x carries the field into the series; the int prefactor
-    # (-1)^k (N-k)_k k!, ~(4l+1)! at k = 2l, meets k! and the ratio first
-    params = HahnParams(k, 0, 0, -(2 * l + 1))
-    _, prefactor, series = _hahn_split(params, field(n - l - 1))
-    t = field(prefactor // math.factorial(k) * ratio) * series
-    scale = n / (2 * field(state.Z))
-    value = t * scale**p / (2 * n)
+    value = _chebyshev_moment(state, k, ratio, p)
     return Expectation(value, p, "bohr_radius", "closed_form")
 
 
 def _inversion_ratio(l: int, k: int) -> Fraction:
     """(2l-k)!/(2l+k+1)!, the factor tying <1/r^{k+2}> to <r^{k-1}>."""
     return Fraction(math.factorial(2 * l - k), math.factorial(2 * l + k + 1))
+
+
+def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
+    """ratio * t_k(n-l-1, -2l-1) * (n/2Z)^p / (2n) in the field of Z.
+
+    The argument n-l-1 carries the field into the series; the int
+    prefactor (-1)^k (N-k)_k k!, ~(4l+1)! at k = 2l, meets k! and the
+    exact ratio first: each alone leaves binary64 range for l >= 43.
+    """
+    n, l = state.n, state.l
+    field = _field(state.Z)
+    params = HahnParams(k, 0, 0, -(2 * l + 1))
+    _, prefactor, series = _hahn_split(params, field(n - l - 1))
+    t = field(prefactor // math.factorial(k) * ratio) * series
+    scale = n / (2 * field(state.Z))
+    return t * scale**p / (2 * n)
 
 
 def expect_recurrence_nr(state: NrState, k_max: int) -> list:
@@ -171,10 +180,10 @@ def inversion_check_nr(state: NrState, k: int):
     if not 0 <= k <= 2 * l:
         raise ValueError(f"k={k} violates 0 <= k <= 2l = {2 * l}")
     lhs = expect_r_power_nr(state, -(k + 2)).value
-    field = _field(state.Z)
-    factor = (2 * field(state.Z) / state.n) ** (2 * k + 1)
-    factor *= field(_inversion_ratio(l, k))
-    rhs = factor * expect_r_power_nr(state, k - 1).value
+    # the ratio, ~1/(4l+1)! at k = 2l, joins <r^{k-1}> before the field
+    ratio = _inversion_ratio(l, k)
+    factor = (2 * _field(state.Z)(state.Z) / state.n) ** (2 * k + 1)
+    rhs = factor * _chebyshev_moment(state, k, ratio, k - 1)
     return lhs, rhs
 
 

@@ -149,7 +149,7 @@ def _pick_route(spec: JSpec, route: str) -> str:
 
 def _j_value(spec: JSpec, route: str, field: type):
     """Shared body of `j_integral` (field float) and `j_integral_exact`
-    (field Fraction, spec already converted)."""
+    (field Fraction, spec free of floats)."""
     scale = _gamma(field(spec.alpha + spec.s) + 1)
     scale *= field(pochhammer(spec.beta + 1, spec.m))
     if _pick_route(spec, route) == "direct":
@@ -182,8 +182,12 @@ def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
     total = Fraction(spec.alpha) + Fraction(spec.s)
     if total.denominator != 1 or total < 0:
         raise ValueError("exact evaluation needs integer alpha + s >= 0")
-    spec = JSpec(spec.n, spec.m, Fraction(spec.s), Fraction(spec.alpha), Fraction(spec.beta))
-    return _j_value(spec, route, Fraction)
+    # floats convert exactly; ints and Fractions stay as they are
+    s, alpha, beta = (
+        Fraction(x) if isinstance(x, float) else x
+        for x in (spec.s, spec.alpha, spec.beta)
+    )
+    return _j_value(JSpec(spec.n, spec.m, s, alpha, beta), route, Fraction)
 
 
 def _norm_sq(n: int, alpha):

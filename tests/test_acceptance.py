@@ -4,9 +4,14 @@ Each test pins its tolerance and, where stated, its runtime budget.
 Everything here is end-to-end: closed forms against independent
 quadrature oracles, exact rational identities at zero residual, limit
 scalings with their expected rates, and byte-frozen CLI behavior.
+
+The checks that `hahnium verify` also runs live in `hahnium.checks`;
+these tests call them on the release grids, which are larger than
+verify's small and full grids.  Checks that only a criterion runs stay
+here.
 """
 
-import json
+import itertools
 import math
 import os
 import pathlib
@@ -15,18 +20,8 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
-from hahnium.angular import HalfInt, Spinor2, clebsch_gordan, spherical_harmonic, spinor_harmonic
-from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
-from hahnium.hydrogen_rel import (
-    RelState,
-    expect_r_power_rel,
-    expect_special_rel,
-    nonrel_limit_suite,
-    screening_rel_1s,
-    sommerfeld_remainder,
-)
+from hahnium import checks
+from hahnium.angular import HalfInt, clebsch_gordan, spherical_harmonic, spinor_harmonic
 from hahnium.laguerre_integrals import (
     JSpec,
     connection_coeffs,
@@ -36,46 +31,33 @@ from hahnium.laguerre_integrals import (
     linearization_closed_form,
     linearization_coeffs,
 )
-from hahnium.oracle import brute_expect_nr, brute_expect_rel, sphere_quad
+from hahnium.oracle import DEFAULT_BUDGET, sphere_quad
 from hahnium.orthopoly import LaguerreSpec, laguerre
 from hahnium.specfun import pochhammer
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-import cmath
-
 
 def _rel_grid():
     """The relativistic acceptance grid: 117 bound states."""
-    for z in (1, 40, 92):
-        for kappa in (-1, 1, -2, 2, -3, 3):
-            for n_r in range(0, 7):
-                if n_r == 0 and kappa > 0:
-                    continue
-                state = RelState(z, n_r, kappa)
-                if state.mu >= abs(kappa):
-                    continue
-                yield state
+    states = checks.rel_states((1, 40, 92), (-1, 1, -2, 2, -3, 3), 6)
+    assert len(states) == 117
+    return states
+
+
+def _assert_ok(*results):
+    for result in results:
+        assert result["ok"], result
 
 
 def test_criterion_01_nr_closed_forms_match_quadrature():
     # every state with n <= 10, every admissible power up to r^6,
     # against the brute-force oracle; relative 1e-9, under 30 s
     start = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for z in (1.0, 10.0):
-        for n in range(1, 11):
-            for l in range(0, n):
-                state = NrState(z, n, l)
-                for p in range(-2 * l - 2, 7):
-                    got = expect_r_power_nr(state, p).value
-                    want = brute_expect_nr(state, p)
-                    worst = max(worst, abs(got - want) / abs(want))
-                    cases += 1
+    result = checks.nr_oracle((1.0, 10.0), 10, 6, 1e-12, DEFAULT_BUDGET, tol=1e-9)
     elapsed = time.perf_counter() - start
-    assert cases == 1650
-    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+    assert result["cases"] == 1650
+    _assert_ok(result)
     assert elapsed < 30.0, f"sweep took {elapsed:.1f}s"
 
 
@@ -83,25 +65,9 @@ def test_criterion_02_known_moments_exact_in_rational_mode():
     # <r>, <r^2>, <1/r>, <1/r^2>, <1/r^3>, <1/r^4> against their
     # textbook closed forms, exact Fraction equality, under 5 s
     start = time.perf_counter()
-    half = Fraction(1, 2)
-    for z in (Fraction(1), Fraction(3)):
-        for n in range(1, 9):
-            for l in range(0, n):
-                state = NrState(z, n, l)
-                known = {
-                    1: Fraction(3 * n * n - l * (l + 1)) / (2 * z),
-                    2: 2 * (Fraction(n, 2) / z) ** 2 * (5 * n * n + 1 - 3 * l * (l + 1)),
-                    -1: z / Fraction(n * n),
-                    -2: z * z / (n**3 * (l + half)),
-                }
-                if l >= 1:
-                    known[-3] = z**3 / (n**3 * (l + 1) * (l + half) * l)
-                    known[-4] = z**4 * (3 * n * n - l * (l + 1)) / (
-                        2 * n**5 * (l + 3 * half) * (l + 1) * (l + half) * l * (l - half)
-                    )
-                for p, want in known.items():
-                    got = expect_r_power_nr(state, p).value
-                    assert got == want, (z, n, l, p)
+    result = checks.nr_exact((Fraction(1), Fraction(3)), 8)
+    assert result["cases"] == 400
+    assert result["residual"] == 0.0, result
     assert time.perf_counter() - start < 5.0
 
 
@@ -110,74 +76,48 @@ def test_criterion_03_rel_closed_forms_match_quadrature():
     # plus -3 where convergent; relative 1e-9 (1e-7 where the
     # cancellation flag is raised, count reported), under 2 min
     start = time.perf_counter()
-    worst_plain = 0.0
-    worst_flagged = 0.0
-    cases = flags = 0
-    for state in _rel_grid():
-        powers = list(range(-2, 5))
-        if 2.0 * state.nu - 2.0 > 0.0:
-            powers = [-3] + powers
-        for p in powers:
-            got = expect_r_power_rel(state, p)
-            want = brute_expect_rel(state, p)
-            rel = abs(got.value - want) / abs(want)
-            cases += 1
-            if got.cancellation_flag:
-                flags += 1
-                worst_flagged = max(worst_flagged, rel)
-            else:
-                worst_plain = max(worst_plain, rel)
+    plain, flagged, flags = checks.rel_oracle(
+        _rel_grid(), -3, 4, 1e-12, DEFAULT_BUDGET, tol=1e-9, flagged_tol=1e-7
+    )
     elapsed = time.perf_counter() - start
-    print(f"relativistic sweep: {cases} cases, {flags} cancellation flags")
-    assert cases == 897
-    assert worst_plain <= 1e-9, f"worst unflagged deviation {worst_plain:.3e}"
-    assert worst_flagged <= 1e-7, f"worst flagged deviation {worst_flagged:.3e}"
-    assert flags == 0, f"{flags} cancellation flags raised"
+    print(
+        f"relativistic sweep: {flags['cases']} cases, "
+        f"{flags['residual']:.0f} cancellation flags"
+    )
+    assert flags["cases"] == 897
+    _assert_ok(plain, flagged)
+    assert flags["residual"] == 0.0, f"{flags['residual']:.0f} cancellation flags raised"
     assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
 
 
 def test_criterion_04_special_cases_equal_general_form():
-    # the six explicit closed forms against the general one on the full
-    # relativistic grid, relative 1e-11; <r^0> = 1 to 1e-12 everywhere
-    cases = {"r2": 2, "r1": 1, "one": 0, "rm1": -1, "rm2": -2, "rm3": -3}
-    checked = 0
-    for state in _rel_grid():
-        assert abs(expect_r_power_rel(state, 0).value - 1.0) <= 1e-12
-        for case, p in cases.items():
-            if case == "rm2" and not 2.0 * state.nu - 1.0 > 0.0:
-                continue
-            if case == "rm3" and not state.nu > 1.0:
-                continue
-            special = expect_special_rel(state, case).value
-            general = expect_r_power_rel(state, p).value
-            assert abs(special - general) <= 1e-11 * abs(general), (
-                state.Z, state.n_r, state.kappa, case,
-            )
-            checked += 1
-    assert checked > 600
+    # the six explicit closed forms and the positive Hahn form against
+    # the general one on the full relativistic grid, relative 1e-11;
+    # <r^0> = 1 to 1e-12 everywhere
+    special, hahn, norm = checks.rel_special(_rel_grid(), tol=1e-11, norm_tol=1e-12)
+    _assert_ok(special, hahn, norm)
+    assert special["cases"] > 600
 
 
 def test_criterion_05_energy_series_truncation_scales_mu_sixth():
     # remainder of the mu^4 fine-structure series under mu halving:
-    # ratio in [55, 73] (64 would be exact mu^6)
-    for n_r in (0, 1, 2):
-        remainders = [
-            abs(sommerfeld_remainder(n_r, -1, Fraction(m, 1000))) for m in (4, 2, 1)
-        ]
-        for first, second in zip(remainders, remainders[1:]):
-            ratio = first / second
-            assert 55.0 <= ratio <= 73.0, (n_r, ratio)
+    # ratio strictly inside (55, 73) (64 would be exact mu^6); computed
+    # in rational arithmetic because the remainder sits below binary64
+    # resolution near epsilon = 1
+    result = checks.sommerfeld_rate(
+        (0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)], window=(55.0, 73.0)
+    )
+    assert result["cases"] == 6
+    _assert_ok(result)
 
 
 def test_criterion_06_moments_approach_nr_limit_at_mu_squared():
     # |<r^p>_rel - <r^p>_nr| must shrink ~4x per mu halving for both
     # kappa branches of every n <= 3 state
     pairs = [(0, -1), (1, -1), (2, -1), (1, 1), (2, 1), (0, -2), (1, -2), (1, 2), (0, -3)]
-    for n_r, kappa in pairs:
-        report = nonrel_limit_suite(n_r, kappa, (0.04, 0.02, 0.01), radius=2.5)
-        for p, ratios in report["moment_ratios"].items():
-            for ratio in ratios:
-                assert 3.0 <= ratio <= 5.0, (n_r, kappa, p, ratio)
+    result = checks.moment_nr_limit(pairs, (0.04, 0.02, 0.01), 2.5, window=(3.0, 5.0))
+    assert result["cases"] == 54
+    _assert_ok(result)
 
 
 def test_criterion_07_master_integral_identities_exact():
@@ -237,32 +177,21 @@ def test_criterion_07_master_integral_identities_exact():
     # linearization: single sum equals the parity-split closed forms,
     # the leading coefficient is the pure gamma ratio, the expansion
     # rebuilds the product, and the sign pattern holds
-    for alpha in (0, 1, Fraction(1, 2)):
+    alphas = (0, 1, Fraction(1, 2))
+    for alpha in alphas:
         for n in range(0, 6):
             for m in range(0, n + 1):
                 triple = linearization_coeffs(n, m, alpha)
                 for p in range(0, n + m + 3):
-                    closed = linearization_closed_form(n, m, p, alpha)
-                    if triple.p_min <= p <= triple.p_max:
-                        c = triple.coefficients[p - triple.p_min]
-                        assert closed == c, (n, m, p, alpha)
-                        assert (-1) ** (n + m + p) * c >= 0, (n, m, p, alpha)
-                    else:
-                        assert closed == 0, (n, m, p, alpha)
+                    assert linearization_closed_form(n, m, p, alpha) == (
+                        triple.coefficient(p)
+                    ), (n, m, p, alpha)
                 lead = pochhammer(Fraction(alpha) + 1, n) / (
                     math.factorial(m) * pochhammer(Fraction(alpha) + 1, n - m)
                 )
                 assert triple.coefficients[0] == lead, (n, m, alpha)
-                for x in xs:
-                    rebuilt = sum(
-                        triple.coefficients[i]
-                        * laguerre(LaguerreSpec(triple.p_min + i, alpha), x)
-                        for i in range(len(triple.coefficients))
-                    )
-                    product = laguerre(LaguerreSpec(n, alpha), x) * laguerre(
-                        LaguerreSpec(m, alpha), x
-                    )
-                    assert rebuilt == product, (n, m, alpha, x)
+    result = checks.linearization(5, alphas, xs)
+    assert result["residual"] == 0.0, result
 
     assert time.perf_counter() - start < 20.0
 
@@ -271,12 +200,13 @@ def test_criterion_08_angular_suite():
     thetas = (0.3, 1.1, 2.2)
     phis = (0.0, 0.9, 4.0)
 
-    # Clebsch-Gordan orthogonality, 1e-12
+    # Clebsch-Gordan orthogonality: the sum over m1, m2 of paired
+    # coefficients is a Kronecker delta, 1e-12
     def half_range(tj):
         return [HalfInt(tm) for tm in range(-tj, tj + 1, 2)]
 
-    for tj1 in (1, 2, 3):
-        for tj2 in (1, 2, 3):
+    for tj1 in (1, 2, 3, 4):
+        for tj2 in (1, 2, 3, 4):
             couples = [
                 (HalfInt(tj), m)
                 for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
@@ -293,7 +223,10 @@ def test_criterion_08_angular_suite():
                     want = 1.0 if (ja, ma) == (jb, mb) else 0.0
                     assert abs(total - want) <= 1e-12
 
-    # aligned stretched coefficient closed form, 1e-12
+    # aligned stretched coefficient closed form, relative 1e-12 (1e-14
+    # absolute near zero):
+    # C^{l0}_{l0,2s,0} = (-1)^s (l+s)!(2s)!/((l-s)!(s!)^2)
+    #                    sqrt((2l+1)(2l-2s)!/(2l+2s+1)!)
     for l in range(0, 5):
         for s in range(0, l + 1):
             got = clebsch_gordan(l, 0, 2 * s, 0, l, 0)
@@ -308,9 +241,10 @@ def test_criterion_08_angular_suite():
                     / math.factorial(2 * l + 2 * s + 1)
                 )
             )
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (l, s)
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-14), (l, s)
 
-    # triple products on the sphere against the coefficient form, 1e-9
+    # triple products on the sphere against the coefficient form, 1e-9:
+    # integral of Y*_s0 Y*_lm Y_lm = sqrt((2s+1)/4pi) C^{lm}_{lm,s0} C^{l0}_{l0,s0}
     for l in range(0, 4):
         for m in range(-l, l + 1):
             for s in range(0, 2 * l + 3):
@@ -325,8 +259,8 @@ def test_criterion_08_angular_suite():
                 ) * clebsch_gordan(l, 0, s, 0, l, 0)
                 assert abs(got - want) <= 1e-9, (l, m, s)
 
-    # spinor harmonics: orthonormal, and (sigma . n) sends each to
-    # minus its branch partner, pointwise 1e-12
+    # spinor harmonics: orthonormal, 1e-12, and (sigma . n) sends each
+    # to minus its branch partner, pointwise 1e-12
     states = [
         (HalfInt(tj), HalfInt(tm), branch)
         for tj in (1, 3, 5)
@@ -343,50 +277,22 @@ def test_criterion_08_angular_suite():
             got = sphere_quad(f, 8)
             want = 1.0 if (ja, ma, ba) == (jb, mb, bb) else 0.0
             assert abs(got - want) <= 1e-12, (ja, ma, ba, jb, mb, bb)
-    for j, m, branch in states:
-        for theta in thetas:
-            for phi in phis:
-                spinor = spinor_harmonic(j, m, branch, theta, phi)
-                ct, st = math.cos(theta), math.sin(theta)
-                got = Spinor2(
-                    ct * spinor.up + st * cmath.exp(-1j * phi) * spinor.down,
-                    st * cmath.exp(1j * phi) * spinor.up - ct * spinor.down,
-                )
-                want = spinor_harmonic(j, m, -branch, theta, phi)
-                assert abs(got.up + want.up) <= 1e-12
-                assert abs(got.down + want.down) <= 1e-12
+    flip = checks.sigma_flip((1, 3, 5), list(itertools.product(thetas, phis)), tol=1e-12)
+    assert flip["cases"] == 216
+    _assert_ok(flip)
 
 
 def test_criterion_09_screening_forms_and_limits():
-    # general closed form vs the explicit ground-state one, 1e-10
-    radii = (0.1, 0.5, 2.0, 10.0)
-    for z in (1.0, 2.0):
-        state = NrState(z, 1, 0)
-        for r in radii:
-            explicit = (z - 1.0) / r + (1.0 / r + z) * math.exp(-2.0 * z * r)
-            assert abs(screening_nr(state, r) - explicit) <= 1e-10
+    # general closed form vs the explicit ground-state one, absolute 1e-10
+    ground = checks.screening_ground_state((1.0, 2.0), (0.1, 0.5, 2.0, 10.0), tol=1e-10)
 
     # relativistic 1S potential collapses onto the nonrelativistic one
     # at O(mu^2): deviation ratio ~4 per mu halving
-    nr_state = NrState(1.0, 1, 0)
-    deviations = [
-        max(
-            abs(screening_rel_1s(1.0, r, alpha_fs=mu) - screening_nr(nr_state, r))
-            for r in (0.2, 1.0, 3.0)
-        )
-        for mu in (0.04, 0.02, 0.01)
-    ]
-    for first, second in zip(deviations, deviations[1:]):
-        ratio = first / second
-        assert 3.0 <= ratio <= 5.0, ratio
+    rate = checks.screening_rel_rate((0.04, 0.02, 0.01), (0.2, 1.0, 3.0), window=(3.0, 5.0))
 
     # Coulomb limits: bare charge at the origin, net charge far out
-    for potential in (
-        lambda r: screening_nr(nr_state, r),
-        lambda r: screening_rel_1s(1.0, r),
-    ):
-        assert abs(1e-8 * potential(1e-8) - 1.0) <= 1e-6
-        assert abs(50.0 * potential(50.0)) <= 1e-6
+    limits = checks.coulomb_limits((1.0,), 1e-8, 50.0, tol=1e-6)
+    _assert_ok(ground, rate, limits)
 
 
 def _run_cli(*args, env_extra=None):

@@ -8,10 +8,8 @@ import pytest
 
 from hahnium.angular import (
     HalfInt,
-    Spinor2,
     angular_density,
     angular_density_coeffs,
-    clebsch_gordan,
     clebsch_gordan_exact,
     spherical_harmonic,
     spinor_harmonic,
@@ -58,31 +56,6 @@ def test_spherical_harmonic_orthonormality():
             assert abs(got - want) <= 1e-12
 
 
-def _half_range(tj):
-    return [HalfInt(tm) for tm in range(-tj, tj + 1, 2)]
-
-
-def test_clebsch_gordan_orthogonality():
-    # sum over m1, m2 of paired coefficients is an exact Kronecker delta
-    for tj1 in (1, 2, 3, 4):
-        for tj2 in (1, 2, 3, 4):
-            couples = [
-                (HalfInt(tj), m)
-                for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                for m in _half_range(tj)
-            ]
-            for ja, ma in couples:
-                for jb, mb in couples:
-                    total = 0.0
-                    for m1 in _half_range(tj1):
-                        for m2 in _half_range(tj2):
-                            total += clebsch_gordan(
-                                HalfInt(tj1), m1, HalfInt(tj2), m2, ja, ma
-                            ) * clebsch_gordan(HalfInt(tj1), m1, HalfInt(tj2), m2, jb, mb)
-                    want = 1.0 if (ja, ma) == (jb, mb) else 0.0
-                    assert abs(total - want) <= 1e-12
-
-
 def test_clebsch_gordan_exact_reference_values():
     sign, square = clebsch_gordan_exact(HALF, HALF, HALF, -HALF, 1, 0)
     assert (sign, square) == (1, Fraction(1, 2))
@@ -94,43 +67,6 @@ def test_clebsch_gordan_exact_reference_values():
     assert square == Fraction(1, 2)
     _, square = clebsch_gordan_exact(1, 1, 1, -1, 2, 0)
     assert square == Fraction(1, 6)
-
-
-def test_aligned_stretched_coefficient_closed_form():
-    # C^{l0}_{l0,2s,0} = (-1)^s (l+s)!(2s)!/((l-s)!(s!)^2)
-    #                    sqrt((2l+1)(2l-2s)!/(2l+2s+1)!)
-    for l in range(0, 5):
-        for s in range(0, l + 1):
-            got = clebsch_gordan(l, 0, 2 * s, 0, l, 0)
-            want = (
-                (-1) ** s
-                * math.factorial(l + s)
-                * math.factorial(2 * s)
-                / (math.factorial(l - s) * math.factorial(s) ** 2)
-                * math.sqrt(
-                    (2 * l + 1)
-                    * math.factorial(2 * l - 2 * s)
-                    / math.factorial(2 * l + 2 * s + 1)
-                )
-            )
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_triple_product_integral_on_sphere():
-    # integral of Y*_s0 Y*_lm Y_lm = sqrt((2s+1)/4pi) C^{lm}_{lm,s0} C^{l0}_{l0,s0}
-    for l in range(0, 4):
-        for m in range(-l, l + 1):
-            for s in range(0, 2 * l + 3):
-                def f(theta, phi, l=l, m=m, s=s):
-                    y_s = spherical_harmonic(s, 0, theta, phi)
-                    y_lm = spherical_harmonic(l, m, theta, phi)
-                    return y_s.conjugate() * y_lm.conjugate() * y_lm
-
-                got = sphere_quad(f, 2 * l + s + 1)
-                want = math.sqrt((2 * s + 1) / (4.0 * math.pi)) * clebsch_gordan(
-                    l, m, s, 0, l, m
-                ) * clebsch_gordan(l, 0, s, 0, l, 0)
-                assert abs(got - want) <= 1e-9, (l, m, s)
 
 
 def _y(l, m, theta, phi):
@@ -172,48 +108,6 @@ def test_degree_one_product_ladders():
                     rhs = _ladder_term((l + 1) ** 2 - m * m, l, m, 1, theta, phi) \
                         + _ladder_term(l * l - m * m, l, m, -1, theta, phi)
                     assert abs(lhs - rhs) <= 1e-12, ("diag", l, m)
-
-
-def _spinor_states():
-    out = []
-    for tj in (1, 3, 5):
-        for branch in (-1, 1):
-            for tm in range(-tj, tj + 1, 2):
-                out.append((HalfInt(tj), HalfInt(tm), branch))
-    return out
-
-
-def test_spinor_harmonic_orthonormality():
-    states = _spinor_states()
-    for ja, ma, ba in states:
-        for jb, mb, bb in states:
-            def f(theta, phi):
-                sa = spinor_harmonic(ja, ma, ba, theta, phi)
-                sb = spinor_harmonic(jb, mb, bb, theta, phi)
-                return sa.up.conjugate() * sb.up + sa.down.conjugate() * sb.down
-
-            got = sphere_quad(f, 8)
-            want = 1.0 if (ja, ma, ba) == (jb, mb, bb) else 0.0
-            assert abs(got - want) <= 1e-12, (ja, ma, ba, jb, mb, bb)
-
-
-def _apply_sigma_n(spinor: Spinor2, theta: float, phi: float) -> Spinor2:
-    ct, st = math.cos(theta), math.sin(theta)
-    return Spinor2(
-        ct * spinor.up + st * cmath.exp(-1j * phi) * spinor.down,
-        st * cmath.exp(1j * phi) * spinor.up - ct * spinor.down,
-    )
-
-
-def test_sigma_dot_n_flips_branch():
-    # (sigma . n) maps a spinor harmonic to minus its branch partner
-    for j, m, branch in _spinor_states():
-        for theta in THETAS:
-            for phi in PHIS:
-                got = _apply_sigma_n(spinor_harmonic(j, m, branch, theta, phi), theta, phi)
-                want = spinor_harmonic(j, m, -branch, theta, phi)
-                assert abs(got.up + want.up) <= 1e-12
-                assert abs(got.down + want.down) <= 1e-12
 
 
 def test_spin_orbit_eigenvalue_identity():

@@ -156,16 +156,29 @@ def test_config_file_and_env_precedence(tmp_path):
     assert json.loads(proc.stdout)["unit"] == "hartree"
 
 
+VERIFY_SUITES = (
+    "angular", "identities", "limits", "nr-exact", "nr-oracle", "rel-oracle",
+    "rel-special-cases", "screening",
+)
+
+
 def test_verify_single_suites_pass():
-    for suite in ("identities", "angular", "rel-special-cases"):
+    for suite in VERIFY_SUITES:
         proc = run_cli("verify", "--suite", suite, "--budget", "small")
-        assert proc.stdout.count("ok") >= 1
-        assert "FAIL" not in proc.stdout
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert records, suite
+        for record in records:
+            assert record["ok"] is True and record["suite"] == suite, record
+            assert set(record) == {
+                "check", "inputs", "method", "ok", "residual", "schema_version",
+                "suite", "tol", "unit",
+            }
 
 
 def test_verify_unknown_suite_exits_2():
     proc = run_cli("verify", "--suite", "bogus", expect_code=2)
-    assert "nr-oracle" in proc.stderr  # the diagnostic lists valid names
+    for suite in VERIFY_SUITES:  # the diagnostic lists valid names
+        assert suite in proc.stderr
 
 
 def test_verify_env_budget_accepted():

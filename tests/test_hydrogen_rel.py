@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hahnium.checks import rel_states
 from hahnium.hydrogen_rel import (
     ALPHA_FS,
     RelState,
@@ -17,7 +18,6 @@ from hahnium.hydrogen_rel import (
     nonrel_limit_suite,
     radial_rel,
     screening_rel_1s,
-    sommerfeld_remainder,
 )
 from hahnium.hydrogen_nr import NrState, screening_nr
 from hahnium.oracle import brute_expect_rel, quad_semi_infinite
@@ -25,14 +25,7 @@ from hahnium.orthopoly import LaguerreSpec, laguerre
 
 
 def _grid(n_r_max=2):
-    for z in (1.0, 40.0, 92.0):
-        for kappa in (-3, -2, -1, 1, 2, 3):
-            if z * ALPHA_FS >= abs(kappa):
-                continue
-            for n_r in range(0, n_r_max + 1):
-                if n_r == 0 and kappa > 0:
-                    continue
-                yield RelState(z, n_r, kappa)
+    return rel_states((1.0, 40.0, 92.0), (-3, -2, -1, 1, 2, 3), n_r_max)
 
 
 def test_state_validation():
@@ -70,18 +63,6 @@ def test_fine_structure_coefficients():
     mu = state.mu
     series = float(c0) + float(c2) * mu**2 + float(c4) * mu**4
     assert abs(series - energy_rel(state)) < 10.0 * mu**6
-
-
-def test_sommerfeld_remainder_scales_as_mu_sixth():
-    # the expansion truncated at mu^4 misses O(mu^6): halving mu divides
-    # the remainder by about 64; computed in rational arithmetic because
-    # the remainder sits below binary64 resolution near epsilon = 1
-    for n_r in (0, 1, 2):
-        rems = [
-            abs(sommerfeld_remainder(n_r, -1, Fraction(m, 1000))) for m in (4, 2, 1)
-        ]
-        assert 55.0 < rems[0] / rems[1] < 73.0
-        assert 55.0 < rems[1] / rems[2] < 73.0
 
 
 def test_radial_normalization():

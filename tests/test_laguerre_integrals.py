@@ -99,6 +99,8 @@ def test_j_integral_exact_is_rational_twin():
         exact = j_integral_exact(spec)
         assert isinstance(exact, Fraction)
         assert j_integral(spec) == pytest.approx(float(exact), rel=1e-12, abs=1e-13)
+    # float parameters convert exactly
+    assert j_integral_exact(JSpec(4, 1, 0.5, 1.5, 0.5)) == Fraction(-33, 128)
 
 
 def test_jspec_validation():

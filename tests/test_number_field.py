@@ -122,11 +122,13 @@ def test_bool_inputs_are_not_exact():
 @pytest.mark.parametrize("z", [50, Fraction(373, 10)])
 def test_float_charge_matches_exact_charge_at_large_l(n, z):
     # for l >= 43 the Chebyshev prefactor (about (4l+1)!) and the inversion
-    # ratio each leave binary64 range, while the moment does not
+    # ratio each leave binary64 range, while the moment and both sides of
+    # the inversion relation do not
     l = n - 1
     for p in (-2 * l - 2, -l, 0):
         exact = float(expect_r_power_nr(NrState(z, n, l), p).value)
         value = expect_r_power_nr(NrState(float(z), n, l), p).value
         assert value == pytest.approx(exact, rel=1e-13, abs=0), p
-    lhs, rhs = inversion_check_nr(NrState(float(z), n, l), l)
-    assert rhs == pytest.approx(lhs, rel=1e-13, abs=0)
+    for k in (l, 2 * l):
+        lhs, rhs = inversion_check_nr(NrState(float(z), n, l), k)
+        assert rhs == pytest.approx(lhs, rel=1e-13, abs=0), k
