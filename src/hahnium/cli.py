@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -357,8 +358,8 @@ def _parse_radii(text: str) -> list:
         radii = sorted(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--radii expects comma-separated floats: {exc}") from None
-    if not radii or any(not r > 0 for r in radii):
-        raise ValueError("--radii values must be positive")
+    if not radii or any(not 0 < r < math.inf for r in radii):
+        raise ValueError("--radii values must be positive and finite")
     return radii
 
 

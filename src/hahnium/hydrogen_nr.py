@@ -22,7 +22,6 @@ from typing import Union
 import numpy as np
 
 from .angular import clebsch_gordan
-from .laguerre_integrals import JSpec, j_diag_positive, j_integral_incomplete
 from .orthopoly import HahnParams, LaguerreSpec, _hahn_split, laguerre, legendre
 from .specfun import _field
 
@@ -41,6 +40,8 @@ __all__ = [
 
 Real = Union[int, float, Fraction]
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class NrState:
@@ -52,8 +53,8 @@ class NrState:
     m: int = 0
 
     def __post_init__(self) -> None:
-        if not self.Z > 0:
-            raise ValueError("Z must be positive")
+        if not 0 < self.Z < math.inf:
+            raise ValueError("Z must be positive and finite")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if not isinstance(self.l, int) or not 0 <= self.l <= self.n - 1:
@@ -200,51 +201,99 @@ def virial_check_nr(state: NrState):
     return mean_u, 2 * energy_nr(state)
 
 
-def _screen_moment_scale(state: NrState) -> float:
-    n, l = state.n, state.l
-    z = float(state.Z)
-    return (
-        (4.0 * z**3 / n**4)
-        * math.factorial(n - l - 1)
-        / math.factorial(n + l)
-    )
+def _density_poly(n: int, l: int) -> list:
+    """Integer coefficients, lowest power first, of (N! L_N^(2l+1))^2 with
+    N = n-l-1.  In eta = 2Zr/n the density r^2 R^2 dr is e^-eta eta^(2l+2)
+    times this polynomial, divided by K = N! (n+l)! 2n, d eta."""
+    N = n - l - 1
+    shape = [
+        (-1) ** j * math.perm(N, N - j) * math.comb(n + l, N - j) for j in range(N + 1)
+    ]
+    return [
+        sum(shape[j] * shape[i - j] for j in range(max(0, i - N), min(i, N) + 1))
+        for i in range(2 * N + 1)
+    ]
+
+
+def _damped(num: int, den: int, eta: float) -> float:
+    """e^-eta num/den with no intermediate overflow or underflow."""
+    if num == 0:
+        return 0.0
+    shift = num.bit_length() - den.bit_length()
+    mantissa = (num << max(-shift, 0)) / (den << max(shift, 0))
+    # past eta = 700 the exponential is taken 2^steps larger, ldexp undoes it
+    steps = max(0, math.ceil((eta - 700.0) / _LN2))
+    return math.ldexp(mantissa * math.exp(steps * _LN2 - eta), shift - steps)
 
 
 def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
     """Mean potential of nucleus plus bound electron, in e/a0 units.
 
-    V(r, theta) = Z/r minus the multipole sum over even orders 2s <= 2l;
-    each order splits into an interior moment over r' < r and an exterior
-    tail, the tails running through upper incomplete gamma functions.
-    For the ground state this collapses to (Z-1)/r + (1/r + Z) e^{-2Zr}.
+    V = (Z - sum_L w_L M_L) / r over even L <= 2l, w_L the Clebsch-Gordan
+    pair times P_L(cos theta); in eta = 2Zr/n and the density rho of
+    `_density_poly`, M_L = eta^-L int_0^eta rho t^L + eta^(L+1) int_eta^inf
+    rho t^(-L-1).  With f_k k! the moments of the integrand's polynomial,
+    C their sum and e_k the exponential series cut after eta^k/k!, each
+    tail integral is e^-eta sum_k f_k k! e_k (DLMF 8.4.8).  Where the full
+    multipole C eta^-L / K is at most 1 the interior is C minus its tail,
+    costing at most one rounding in r V; elsewhere it is e^-eta sum_k f_k
+    k! (e^eta - e_k), whose shared tail of positive terms is summed until
+    it is below 2^-60 of the result.  Every sum is exact at the binary64
+    eta and only e^-eta is rounded: any n, any finite r > 0.  The ground
+    state gives (Z-1)/r + (1/r + Z) e^{-2Zr}.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     n, l, m = state.n, state.l, state.m
     z = float(state.Z)
-    degree, alpha = n - l - 1, 2 * l + 1
-    norm = _screen_moment_scale(state)
-    xi = 2.0 * z * r / n
+    eta = 2.0 * z * r / n
+    p, q = eta.as_integer_ratio()
+    e = q.bit_length() - 1  # eta = p / 2^e
+    square = _density_poly(n, l)
+    norm = math.factorial(n - l - 1) * math.factorial(n + l) * 2 * n
+    top = 2 * (n + l)  # highest power of any integrand
+    fact = [math.factorial(k) for k in range(top + 1)]
+    term = fact[top] << e * top
+    partial = [term]  # top! 2^(e top) e_k(eta), exact
+    for k in range(1, top + 1):
+        term = (term * p >> e) // k
+        partial.append(partial[-1] + term)
+    scale = fact[top] * norm << e * top
 
-    def tail(k: int) -> float:
-        # integral of r'^{k+2} R^2 over (r, inf)
-        spec = JSpec(degree, degree, k + 1, alpha, alpha)
-        return norm * (n / (2.0 * z)) ** (k + 3) * j_integral_incomplete(spec, xi)
+    def multipole(big_l: int) -> float:
+        low = 2 * l + 2 + big_l  # interior t^low P, exterior t^(low-2L-1) P
+        inner = [c * fact[low + i] for i, c in enumerate(square)]
+        total = sum(inner)
+        out = low - 2 * big_l - 1
+        outer = sum(c * fact[out + i] * partial[out + i] for i, c in enumerate(square))
+        p_l = p**big_l
+        beyond = total << e * big_l <= norm * p_l
+        if beyond:
+            num, den = -sum(c * partial[low + i] for i, c in enumerate(inner)), 1
+        else:
+            # plus C times e^eta past eta^top/top!, on partial's scale
+            num = sum(c * (partial[top] - partial[low + i]) for i, c in enumerate(inner))
+            den, k, last = 1, top, term
+            while True:
+                k += 1
+                last *= p
+                step = total * last
+                num, den = (num * k << e) + step, den * k << e
+                # once k + 1 >= 2 eta each step at least halves, so what is
+                # left is below this step, which is below 2^-60 of the sum
+                if 2 * p <= (k + 1) << e and step << 60 <= num:
+                    break
+        # eta^-L (interior) + eta^(L+1) (exterior) over one denominator
+        num = (num << e * (2 * big_l + 1)) + outer * den * p_l * p_l * p
+        near = _damped(num, den * p_l * scale << e * (big_l + 1), eta)
+        return ((total << e * big_l) / (norm * p_l) if beyond else 0.0) + near
 
-    potential = z / r
+    electron = 0.0
     for s in range(l + 1):
         coupling = clebsch_gordan(l, m, 2 * s, 0, l, m) * clebsch_gordan(
             l, 0, 2 * s, 0, l, 0
         )
         if coupling == 0.0:
             continue
-        full = (
-            norm
-            * (n / (2.0 * z)) ** (2 * s + 3)
-            * j_diag_positive(degree, alpha, 2 * s + 1)
-        )
-        radial = (full - tail(2 * s)) / r ** (2 * s + 1) + r ** (2 * s) * tail(
-            -2 * s - 1
-        )
-        potential -= coupling * legendre(2 * s, math.cos(theta)) * radial
-    return potential
+        electron += coupling * legendre(2 * s, math.cos(theta)) * multipole(2 * s)
+    return (z - electron) / r

@@ -503,8 +503,8 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     the nonrelativistic closed form as mu -> 0 and the Coulomb limits
     r*V -> Z (r -> 0), r*V -> Z-1 (r -> infinity).
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     mu = float(Z) * alpha_fs
     if not mu < 1.0:
         raise ValueError(f"mu >= 1: mu = {mu:.6f}; the 1S state needs mu < 1")

@@ -20,10 +20,10 @@ The diagonal case n = m with integer s is where the discrete Chebyshev
 polynomials appear: J is a polynomial norm times t_k evaluated at the degree,
 which is what makes hydrogenic moment formulas three-term-recursive.
 
-Also here: the incomplete version of J with lower limit z > 0 (needed for
-screening potentials), connection coefficients between Laguerre families with
-different superscripts, and linearization coefficients of a product
-L_n^alpha L_m^alpha back into the same family.
+Also here: connection coefficients between Laguerre families with different
+superscripts, and linearization coefficients of a product L_n^alpha L_m^alpha
+back into the same family.  (The screening potential's incomplete integrals
+live with the density they integrate, in `hydrogen_nr.screening_nr`.)
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .orthopoly import LaguerreSpec, chebyshev_discrete, laguerre
+from .orthopoly import chebyshev_discrete
 from .specfun import (
     HypSeriesSpec,
-    _compensated_sum,
     _field,
     _gamma,
     _hyp_in,
     _integer_value,
-    inc_gamma_upper,
     pochhammer,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "j_diag_positive_exact",
     "j_diag_negative",
     "j_diag_negative_exact",
-    "j_integral_incomplete",
     "connection_coeffs",
     "linearization_coeffs",
     "linearization_closed_form",
@@ -242,58 +239,6 @@ def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
     if _integer_value(alpha) is None:
         raise ValueError("exact evaluation needs integer alpha")
     return _diag_negative(n, int(alpha), k)
-
-
-def _shape_derivative(m: int, beta: float, s: float, order: int, z: float) -> float:
-    """order-th derivative of z^s L_m^beta(z), evaluated at z > 0.
-
-    Termwise differentiation of the monomial expansion; the gamma ratio per
-    term is a Pochhammer of length `order`, finite for every real s.
-    """
-    terms = []
-    coeff = 1.0  # (-m)_j / (j! (beta+1)_j), updated in place
-    for j in range(m + 1):
-        term = coeff * float(pochhammer(s + j - order + 1, order))
-        terms.append(term * z ** (s + j - order))
-        coeff *= (j - m) / ((j + 1) * (beta + 1 + j))
-    return _compensated_sum(terms) * float(pochhammer(beta + 1, m)) / math.factorial(m)
-
-
-def j_integral_incomplete(spec: JSpec, z: float) -> float:
-    """Master integral with the lower limit raised to z >= 0.
-
-    Integration by parts n times leaves boundary terms at z (a Laguerre
-    ladder against derivatives of the weight-times-L_m factor) plus a tail
-    that is the complete closed form with every gamma replaced by an upper
-    incomplete gamma.  At z = 0 this reduces to j_integral exactly.
-    """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if z == 0:
-        return j_integral(spec)
-    n, m = spec.n, spec.m
-    s, alpha, beta = float(spec.s), float(spec.alpha), float(spec.beta)
-    damp = math.exp(-z)
-
-    boundary = 0.0
-    for k in range(1, n + 1):
-        term = math.factorial(n - k) / math.factorial(n)
-        term *= z ** (alpha + k) * damp
-        term *= laguerre(LaguerreSpec(n - k, alpha + k), z)
-        term *= _shape_derivative(m, beta, s, k - 1, z)
-        boundary += -term if k % 2 else term
-
-    tail = 0.0
-    coeff = 1.0  # (-m)_k / (k! (beta+1)_k)
-    for k in range(m + 1):
-        piece = coeff * float(pochhammer(s - n + k + 1, n))
-        piece *= inc_gamma_upper(alpha + s + k + 1.0, z)
-        tail += piece
-        coeff *= (k - m) / ((k + 1) * (beta + 1 + k))
-    tail *= float(pochhammer(beta + 1, m)) / (math.factorial(n) * math.factorial(m))
-    if n % 2:
-        tail = -tail
-    return boundary + tail
 
 
 def connection_coeffs(n: int, alpha: Real, beta: Real) -> list:

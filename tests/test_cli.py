@@ -115,6 +115,17 @@ def test_screening_rel_matches_oracle():
         assert record["rel_diff"] <= 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ("energy", "--nr", "-Z", "inf", "-n", "1"),
+    ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "0.5,inf"),
+    ("screening", "--rel", "-Z", "1", "--radii", "inf"),
+])
+def test_non_finite_input_exits_2(args):
+    proc = run_cli(*args, expect_code=2)
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_two_j_flag_selects_kappa():
     proc = run_cli(
         "energy", "--rel", "-Z", "92", "--nr-quantum", "1", "--two-j", "3",

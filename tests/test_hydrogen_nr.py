@@ -18,6 +18,7 @@ from hahnium.hydrogen_nr import (
     virial_check_nr,
 )
 from hahnium.oracle import brute_expect_nr, quad_semi_infinite
+from test_acceptance import screening_from_multipoles, screening_multipoles_by_quadrature
 
 
 def test_state_validation():
@@ -29,6 +30,8 @@ def test_state_validation():
         NrState(1.0, 2, 1, 2)  # |m| <= l
     with pytest.raises(ValueError):
         NrState(-1.0, 1, 0)
+    with pytest.raises(ValueError):
+        NrState(math.inf, 1, 0)
 
 
 def test_energy_levels():
@@ -143,3 +146,57 @@ def test_screening_limits_and_anisotropy():
     # the monopole of any state integrates one electron in total
     sphere_avg = screening_nr(NrState(1.0, 2, 1, 1), 60.0, theta=math.acos(1.0 / math.sqrt(3.0)))
     assert 60.0 * sphere_avg == pytest.approx(0.0, abs=1e-10)
+
+
+def _deviation_from_quadrature(state, r, theta):
+    """|closed form - quadrature| / max(|V|, electron term)."""
+    multipoles = screening_multipoles_by_quadrature(state.Z, state.n, state.l, r)
+    want, electron = screening_from_multipoles(
+        state.Z, state.l, state.m, r, theta, multipoles
+    )
+    return abs(screening_nr(state, r, theta) - want) / max(abs(want), abs(electron))
+
+
+@pytest.mark.parametrize("n, l, r, value", [(6, 3, 0.01, 99.97), (8, 5, 1.0, 0.984),
+                                            (8, 5, 0.01, 99.98)])
+def test_screening_high_multipoles_near_the_nucleus(n, l, r, value):
+    # full-minus-tail divided by r^(L+1) gave 93.2, -1.5e4 and -1.5e26 here
+    state = NrState(1.0, n, l)
+    assert screening_nr(state, r) == pytest.approx(value, rel=5e-4)
+    assert _deviation_from_quadrature(state, r, 0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_screening_large_n_against_quadrature(n):
+    for l in (0, n // 2, n - 1):
+        state = NrState(1.0, n, l, l // 2)
+        for r in (1e-3, 1.0, n * n, 4.0 * n * n):
+            assert _deviation_from_quadrature(state, r, 0.7) <= 1e-9, (l, r)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60, 100])
+def test_screening_s_states_between_bare_and_net_charge(n):
+    # from r = 1e-8 out to eta = 2Zr/n = 800, where e^-eta underflows
+    for z in (1.0, 30.0):
+        r_far = 800.0 * n / (2.0 * z)
+        for k in range(13):
+            r = 1e-8 * (r_far / 1e-8) ** (k / 12)
+            value = screening_nr(NrState(z, n, 0), r)
+            assert (z - 1.0) / r <= value <= z / r, (z, r, value)
+
+
+def test_screening_high_l_at_tiny_radius():
+    # eta^-L times the interior moment overflowed to nan or raised here
+    r = 1e-8
+    for n, l in [(20, 19), (30, 25), (60, 40)]:
+        value = screening_nr(NrState(1.0, n, l, l // 2), r, 0.4)
+        assert math.isfinite(value)
+        # r V = Z - r <1/r> + O(r^3)
+        assert r * value == pytest.approx(1.0 - r / n**2, abs=1e-15)
+
+
+def test_screening_domain_guard():
+    state = NrState(1.0, 2, 1)
+    for r in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            screening_nr(state, r)

