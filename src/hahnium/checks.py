@@ -25,7 +25,6 @@ from .hydrogen_rel import (
     _SPECIAL_POWERS,
     ALPHA_FS,
     RelState,
-    expect_hahn_form_rel,
     expect_r_power_rel,
     expect_special_rel,
     nonrel_limit_suite,
@@ -154,10 +153,9 @@ def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: floa
 
 def rel_special(states: Sequence[RelState], tol: float = 1e-11,
                 norm_tol: float = 1e-12) -> list:
-    """The six explicit Dirac moments and the positive Hahn form at
-    p = 0, 1, 2 against the general closed form (relative), and
-    <r^0> = 1 (absolute)."""
-    special, hahn, norm = [], [], []
+    """The six explicit Dirac moments against the general closed form
+    (relative), and <r^0> = 1 (absolute)."""
+    special, norm = [], []
     for state in states:
         norm.append(abs(expect_r_power_rel(state, 0).value - 1.0))
         for case, p in _SPECIAL_POWERS.items():
@@ -165,13 +163,8 @@ def rel_special(states: Sequence[RelState], tol: float = 1e-11,
                 want = expect_r_power_rel(state, p).value
                 got = expect_special_rel(state, case).value
                 special.append(abs(got - want) / abs(want))
-        for p in range(3):
-            want = expect_r_power_rel(state, p).value
-            got = expect_hahn_form_rel(state, p, "positive").value
-            hahn.append(abs(got - want) / abs(want))
     return [
         _record("explicit cases vs general closed form", special, tol),
-        _record("positive Hahn form vs general closed form", hahn, tol),
         _record("normalization <1> = 1", norm, norm_tol),
     ]
 

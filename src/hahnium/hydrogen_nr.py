@@ -239,8 +239,9 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
     costing at most one rounding in r V; elsewhere it is e^-eta sum_k f_k
     k! (e^eta - e_k), whose shared tail of positive terms is summed until
     it is below 2^-60 of the result.  Every sum is exact at the binary64
-    eta and only e^-eta is rounded: any n, any finite r > 0.  The ground
-    state gives (Z-1)/r + (1/r + Z) e^{-2Zr}.
+    eta and only e^-eta is rounded: any n, any finite r > 0 where V is
+    within binary64 range (ArithmeticError otherwise, e.g. a subnormal
+    r).  The ground state gives (Z-1)/r + (1/r + Z) e^{-2Zr}.
     """
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
@@ -296,4 +297,11 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
         if coupling == 0.0:
             continue
         electron += coupling * legendre(2 * s, math.cos(theta)) * multipole(2 * s)
-    return (z - electron) / r
+    return _finite_potential((z - electron) / r, r)
+
+
+def _finite_potential(value: float, r: float) -> float:
+    """value, or ArithmeticError where it left binary64 range (r subnormal)."""
+    if not math.isfinite(value):
+        raise ArithmeticError(f"the potential at r = {r!r} exceeds binary64 range")
+    return value

@@ -1,27 +1,30 @@
 """Dirac-Coulomb bound states.
 
 Sommerfeld energy levels, two-component radial functions, closed-form
-radial moments <r^p> as combinations of three terminating 3F2 series,
-their Hahn-polynomial forms, explicit special cases, the screened 1S
-potential, and the nonrelativistic limit machinery.
+radial moments <r^p> as one bracket of three Hahn polynomials of a
+discrete variable, explicit special cases, the screened 1S potential,
+and the nonrelativistic limit machinery.
 
 Radial quantities use the reduced Compton length hbar/mc as the length
 unit (the scale factor beta = mc/hbar is then 1), so xi = 2*a*r stays
 dimensionless.  The command-line layer converts to Bohr radii via
 a0 = (hbar/mc)/alpha.
 
-Numerical policy: the three terms of the moment closed form carry
-alternating signs and can cancel almost completely for large p.  Each
-term is evaluated with compensated summation and the stable
-epsilon*kappa -+ nu factorizations, which leaves a relative error of
-about 1e-14 times the cancellation ratio max|t_i| / |sum t_i|.  When
-that ratio exceeds 1e4, the value is recomputed in exact rational
-arithmetic at two nearby rational nu values and extrapolated linearly
-to the true nu, and the result is flagged.  Below the trigger the float
-sum is good to about 1e-10 or better.  The ratio peaks at about 3e3
-over Z <= 137, |kappa| <= 6, n_r <= 30, p in [-8, 24]; it reaches
-1e5..1e7 at kappa = 1 when Z is within 1e-3..1e-5 of the critical
-charge 1/alpha.
+Numerical policy: every moment <r^p> is one bracket of three terms whose
+factors g1, g2, g3 are Hahn polynomials at negative parameter N (over
+Pochhammer products for p <= -3, and in closed form at p = -1 and -2,
+where no series is left to sum).  One body, `_bracket_factors`,
+computes them in the field of nu: a float nu gives the binary64 route,
+a Fraction nu the exact rescue.  The three terms carry alternating
+signs and can cancel almost completely for large p; summed with fsum
+and the stable epsilon*kappa -+ nu factorizations they leave a relative
+error of about 1e-14 times the cancellation ratio max|t_i| / |sum t_i|.
+When that ratio exceeds 1e4, the bracket is recomputed in exact
+rational arithmetic at two nearby rational nu values and extrapolated
+linearly to the true nu, and the result is flagged.  Below the trigger
+the float sum is good to about 1e-10 or better.  The ratio peaks at about 3e3 over Z <= 137, |kappa| <= 6,
+n_r <= 30, p in [-8, 24]; it reaches 1e5..1e7 at kappa = 1 when Z is
+within 1e-3..1e-5 of the critical charge 1/alpha.
 """
 
 from __future__ import annotations
@@ -33,16 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import HalfInt
-from .hydrogen_nr import Expectation, NrState, expect_r_power_nr, radial_nr
-from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
-from .specfun import (
-    HypSeriesSpec,
-    gamma_ratio,
-    hyp_terminating,
-    hyp_terminating_exact,
-    inc_gamma_upper,
-    pochhammer,
+from .hydrogen_nr import (
+    Expectation,
+    NrState,
+    _finite_potential,
+    expect_r_power_nr,
+    radial_nr,
 )
+from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
+from .specfun import gamma_ratio, inc_gamma_upper, pochhammer
 
 __all__ = [
     "ALPHA_FS",
@@ -54,7 +56,6 @@ __all__ = [
     "expect_r_power_rel",
     "expect_special_rel",
     "expect_hahn_form_rel",
-    "identity_checks_rel",
     "sommerfeld_remainder",
     "nonrel_limit_suite",
     "screening_rel_1s",
@@ -193,47 +194,36 @@ def _check_admissible(nu: float, p: int) -> None:
         )
 
 
-def _rc8_terms(n: int, kappa: int, p: int, eps: float, nu: float, a: float, mu: float):
-    """The three closed-form terms of 4 mu nu^2 (2a)^p <r^p>."""
-    ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
-    product = a * a * n * (2.0 * nu + n)  # = eps^2 kappa^2 - nu^2
-    t1 = t2 = 0.0
-    if n >= 1:
-        series1 = hyp_terminating(
-            HypSeriesSpec((1 - n, p + 2, -p - 1), (2.0 * nu + 2.0, 1.0))
-        )
-        t1 = (
-            a
-            * kappa
-            * ek_plus
-            * gamma_ratio((2.0 * nu + p + 3.0,), (2.0 * nu + 2.0,))
-            * series1
-        )
-        series2 = hyp_terminating(
-            HypSeriesSpec((1 - n, p + 3, -p), (2.0 * nu + 2.0, 2.0))
-        )
-        t2 = (
-            -2.0
-            * (p + 2)
-            * mu
-            * product
-            * gamma_ratio((2.0 * nu + p + 2.0,), (2.0 * nu + 2.0,))
-            * series2
-        )
-    series3 = hyp_terminating(HypSeriesSpec((-n, p + 2, -p - 1), (2.0 * nu, 1.0)))
-    t3 = (
-        a
-        * kappa
-        * ek_minus
-        * gamma_ratio((2.0 * nu + p + 1.0,), (2.0 * nu,))
-        * series3
-    )
-    return t1, t2, t3
+def _bracket_factors(n: int, p: int, nu):
+    """Hahn factors (g1, g2, g3) of the moment bracket at power p.
 
-
-def _poch_int(x: Fraction, k: int) -> Fraction:
-    """(x)_k for integer k of either sign, exact: (x)_{-j} = 1/(x-j)_j."""
-    return pochhammer(x, k) if k >= 0 else 1 / pochhammer(x + k, -k)
+    4 mu nu^2 (2a)^p <r^p> = a k (eps k + nu) g1
+        - 2(p+2) mu a^2 n (2nu+n) g2 + a k (eps k - nu) g3,
+    with q = p for p >= 0 and q = -p-3 for p <= -3:
+    g1 = h_{q+1}^{(0,0)}(n-1, -1-2nu), g2 = h_q^{(1,1)}(n-1, -1-2nu)/(q+1)
+    and g3 = h_{q+1}^{(0,0)}(n, 1-2nu), for p <= -3 over (2nu-q)_{2q+3},
+    (2nu-q-1)_{2q+3} and (2nu-q-2)_{2q+3}.  At p = -1 and -2 the
+    underlying 3F2 series close by Chu-Vandermonde (DLMF 15.4.24).
+    Evaluated in the field of nu: float, or Fraction for the rescue.
+    """
+    if p == -1:
+        g1, g2, g3 = 1, 1 / (2 * nu + n), 1
+    elif p == -2:
+        g1, g2, g3 = 1 / (2 * nu + 1), 0, 1 / (2 * nu - 1)
+    else:
+        q = p if p >= 0 else -p - 3
+        g1 = g2 = 0
+        if n >= 1:
+            g1 = hahn(HahnParams(q + 1, 0, 0, -1 - 2 * nu), n - 1)
+            g2 = hahn(HahnParams(q, 1, 1, -1 - 2 * nu), n - 1) / (q + 1)
+        g3 = hahn(HahnParams(q + 1, 0, 0, 1 - 2 * nu), n)
+        if p < 0:
+            g1 /= pochhammer(2 * nu - q, 2 * q + 3)
+            g2 /= pochhammer(2 * nu - q - 1, 2 * q + 3)
+            g3 /= pochhammer(2 * nu - q - 2, 2 * q + 3)
+    if n == 0:
+        g1 = g2 = 0
+    return g1, g2, g3
 
 
 def _sqrt_frac(x: Fraction, digits: int = 60) -> Fraction:
@@ -256,17 +246,7 @@ def _rc8_exact_at(n: int, kappa: int, p: int, nu_t: Fraction) -> Fraction:
     n_eff = n + nu_t
     hyp2 = n_eff * n_eff + mu2
     eps2 = n_eff * n_eff / hyp2
-    g1 = g2 = Fraction(0)
-    if n >= 1:
-        g1 = _poch_int(2 * nu_t + 2, p + 1) * hyp_terminating_exact(
-            HypSeriesSpec((1 - n, p + 2, -p - 1), (2 * nu_t + 2, 1))
-        )
-        g2 = _poch_int(2 * nu_t + 2, p) * hyp_terminating_exact(
-            HypSeriesSpec((1 - n, p + 3, -p), (2 * nu_t + 2, 2))
-        )
-    g3 = _poch_int(2 * nu_t, p + 1) * hyp_terminating_exact(
-        HypSeriesSpec((-n, p + 2, -p - 1), (2 * nu_t, 1))
-    )
+    g1, g2, g3 = _bracket_factors(n, p, nu_t)
     u = kappa * kappa * eps2 * (g1 + g3) / n_eff
     u -= 2 * (p + 2) * (eps2 * kappa * kappa - nu_t * nu_t) * g2
     v = kappa * nu_t * (g1 - g3) / n_eff
@@ -294,16 +274,23 @@ def _rc8_rational_fallback(state: RelState, p: int) -> float:
 
 
 def expect_r_power_rel(state: RelState, p: int) -> Expectation:
-    """<r^p> in (hbar/mc)^p units from the three-series closed form.
+    """<r^p> in (hbar/mc)^p units from the Hahn bracket of
+    `_bracket_factors`, summed in binary64.
 
-    Admissible when 2*nu+p+1 > 0.  Cancellation between the terms beyond
-    a ratio of 1e4 triggers the rational fallback and sets
-    cancellation_flag.
+    Admissible when 2*nu+p+1 > 0.  Cancellation between the three terms
+    beyond a ratio of 1e4 triggers the rational fallback, which evaluates
+    the same bracket exactly, and sets cancellation_flag.
     """
     nu = state.nu
     _check_admissible(nu, p)
     n, kappa, mu, eps, a = state.n_r, state.kappa, state.mu, state.epsilon, state.a
-    terms = _rc8_terms(n, kappa, p, eps, nu, a, mu)
+    ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
+    g1, g2, g3 = _bracket_factors(n, p, nu)
+    terms = (
+        a * kappa * ek_plus * g1,
+        -2.0 * (p + 2) * mu * a * a * n * (2.0 * nu + n) * g2,
+        a * kappa * ek_minus * g3,
+    )
     total = math.fsum(terms)
     largest = max(abs(t) for t in terms)
     if largest > 0.0 and abs(total) < 1e-4 * largest:
@@ -365,42 +352,18 @@ def expect_special_rel(state: RelState, case: str) -> Expectation:
 
 def expect_hahn_form_rel(state: RelState, p: int, which: str = "positive") -> Expectation:
     """<r^p> (which="positive") or <1/r^{p+3}> (which="negative") through
-    Hahn polynomials at negative parameter N.
+    the paper's Hahn forms at negative parameter N, for p >= 0.
 
-    positive needs p >= 0; negative needs 2*nu - p - 2 > 0 on top of
-    p >= 0.  Both agree with expect_r_power_rel.
+    Both are expect_r_power_rel at power p or -(p+3), whose bracket is
+    built from these Hahn polynomials; negative needs 2*nu - p - 2 > 0.
     """
     if p < 0:
         raise ValueError("the Hahn forms take p >= 0")
-    n, kappa = state.n_r, state.kappa
-    eps, nu, a, mu = state.epsilon, state.nu, state.a, state.mu
-    ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
-    product = a * a * n * (2.0 * nu + n)
-    h1 = hahn(HahnParams(p + 1, 0.0, 0.0, -1.0 - 2.0 * nu), n - 1)
-    h2 = hahn(HahnParams(p, 1.0, 1.0, -1.0 - 2.0 * nu), n - 1)
-    h3 = hahn(HahnParams(p + 1, 0.0, 0.0, 1.0 - 2.0 * nu), n)
     if which == "positive":
-        bracket = (
-            a * kappa * ek_plus * h1
-            - 2.0 * ((p + 2) / (p + 1)) * mu * product * h2
-            + a * kappa * ek_minus * h3
-        )
-        value = bracket / (4.0 * mu * nu * nu * (2.0 * a) ** p)
-        return Expectation(value, p, "compton_reduced", "closed_form")
+        return expect_r_power_rel(state, p)
     if which != "negative":
         raise ValueError("which must be 'positive' or 'negative'")
-    if not 2.0 * nu - p - 2.0 > 0.0:
-        raise ValueError(
-            f"negative form needs 2*nu-p-2 > 0 (nu={nu:.6f}, p={p}): "
-            "integral diverges"
-        )
-    bracket = (
-        a * kappa * ek_plus * h1 / pochhammer(2.0 * nu - p, 2 * p + 3)
-        + 2.0 * mu * product * h2 / pochhammer(2.0 * nu - p - 1.0, 2 * p + 3)
-        + a * kappa * ek_minus * h3 / pochhammer(2.0 * nu - p - 2.0, 2 * p + 3)
-    )
-    value = bracket * (2.0 * a) ** (p + 3) / (4.0 * mu * nu * nu)
-    return Expectation(value, -(p + 3), "compton_reduced", "closed_form")
+    return expect_r_power_rel(state, -(p + 3))
 
 
 def sommerfeld_remainder(n_r: int, kappa: int, mu) -> float:
@@ -417,33 +380,6 @@ def sommerfeld_remainder(n_r: int, kappa: int, mu) -> float:
     n_eff = n_r + nu
     eps = n_eff / _sqrt_frac(n_eff * n_eff + mu_f * mu_f)
     return float(eps - (c0 + c2 * mu_f**2 + c4 * mu_f**4))
-
-
-def identity_checks_rel(state: RelState) -> dict:
-    """Both sides of the eigenvalue identity a^2 n (2nu+n) = eps^2 k^2 - nu^2
-    and of the quantization rule eps*mu = a*(nu+n), with their relative
-    residuals.  Evaluated at 60-digit precision so the residuals measure
-    the identities, not binary64 rounding.
-    """
-    kappa, n = state.kappa, state.n_r
-    mu2 = (Fraction(state.Z) * Fraction(state.alpha_fs)) ** 2
-    mu = _sqrt_frac(mu2)
-    nu = _sqrt_frac(kappa * kappa - mu2)
-    n_eff = n + nu
-    hyp = _sqrt_frac(n_eff * n_eff + mu2)
-    eps = n_eff / hyp
-    a = mu / hyp
-    lhs_eig = a * a * n * (2 * nu + n)
-    rhs_eig = eps * eps * kappa * kappa - nu * nu
-    lhs_q = eps * mu
-    rhs_q = a * (nu + n)
-    def rel(x: Fraction, y: Fraction) -> float:
-        scale = max(abs(x), abs(y), Fraction(1, 10**30))
-        return float(abs(x - y) / scale)
-    return {
-        "eigenvalue_identity": (float(lhs_eig), float(rhs_eig), rel(lhs_eig, rhs_eig)),
-        "quantization": (float(lhs_q), float(rhs_q), rel(lhs_q, rhs_q)),
-    }
 
 
 def nonrel_limit_suite(
@@ -501,7 +437,8 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
 
     In e/a0 units with r in Bohr radii; nu1 = sqrt(1 - mu^2).  Recovers
     the nonrelativistic closed form as mu -> 0 and the Coulomb limits
-    r*V -> Z (r -> 0), r*V -> Z-1 (r -> infinity).
+    r*V -> Z (r -> 0), r*V -> Z-1 (r -> infinity).  ArithmeticError
+    where V leaves binary64 range (a subnormal r).
     """
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
@@ -513,4 +450,4 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     norm = math.gamma(2.0 * nu1 + 1.0)
     peak = (2.0 * Z) ** (2.0 * nu1) * r ** (2.0 * nu1 - 1.0) * math.exp(-x) / norm
     tail = inc_gamma_upper(2.0 * nu1, x) / norm * (2.0 * nu1 / r - 2.0 * Z)
-    return (Z - 1.0) / r + peak + tail
+    return _finite_potential((Z - 1.0) / r + peak + tail, r)

@@ -40,10 +40,8 @@ CASES = {
         _rel_grid(), -2, 2, 1e-12, DEFAULT_BUDGET)[:1]),
     "rel_special": ("expect_special_rel", _scale_value,
                     lambda: checks.rel_special(_rel_grid())[:1]),
-    "rel_special hahn": ("expect_hahn_form_rel", _scale_value,
-                         lambda: checks.rel_special(_rel_grid())[1:2]),
     "rel_special norm": ("expect_r_power_rel", _scale_value,
-                         lambda: checks.rel_special(_rel_grid())[2:]),
+                         lambda: checks.rel_special(_rel_grid())[1:]),
     "screening_ground_state": ("screening_nr", _scale, lambda: [
         checks.screening_ground_state((1.0, 2.0), (0.1, 2.0))]),
     "spinor_normalization": ("spinor_harmonic", _scale_spinor, lambda: [
