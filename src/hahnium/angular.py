@@ -2,10 +2,8 @@
 
 Spherical harmonics in the physics convention (phase carried by the m >= 0
 harmonics, Y_{l,-m} = (-1)^m conj(Y_lm)), Clebsch-Gordan coefficients by the
-Racah single-sum formula in exact integer arithmetic, two-component spinor
-spherical harmonics for total angular momentum j = l -+ 1/2, and the angular
-probability density of a Dirac bound state together with its expansion over
-even-order Legendre polynomials.
+Racah single-sum formula in exact integer arithmetic, and two-component
+spinor spherical harmonics for total angular momentum j = l -+ 1/2.
 
 Half-integers are represented exactly by their doubled value (HalfInt), so
 no parity information is lost to floating point.
@@ -27,8 +25,6 @@ __all__ = [
     "clebsch_gordan",
     "clebsch_gordan_exact",
     "spinor_harmonic",
-    "angular_density",
-    "angular_density_coeffs",
 ]
 
 HalfIntLike = Union["HalfInt", int, float, Fraction]
@@ -208,17 +204,6 @@ def clebsch_gordan(
     return sign * math.sqrt(square)
 
 
-def _spinor_jm(j: HalfIntLike, m: HalfIntLike) -> tuple:
-    """(2j, 2m) of a spin-1/2 coupled level; ValueError unless j is a
-    positive half-odd-integer and m one of its projections."""
-    tj, tm = _twice(j), _twice(m)
-    if tj < 1 or tj % 2 == 0:
-        raise ValueError("j must be a positive half-odd-integer")
-    if (tj + tm) % 2 != 0 or abs(tm) > tj:
-        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
-    return tj, tm
-
-
 def spinor_harmonic(
     j: HalfIntLike, m: HalfIntLike, branch: int, theta: float, phi: float
 ) -> Spinor2:
@@ -231,7 +216,11 @@ def spinor_harmonic(
     """
     if branch not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
-    tj, tm = _spinor_jm(j, m)
+    tj, tm = _twice(j), _twice(m)
+    if tj < 1 or tj % 2 == 0:
+        raise ValueError("j must be a positive half-odd-integer")
+    if (tj + tm) % 2 != 0 or abs(tm) > tj:
+        raise ValueError(f"invalid projection m={HalfInt(tm)} for j={HalfInt(tj)}")
     if branch == 1:
         l = (tj + 1) // 2
         up_sq = Fraction(tj - tm + 2, 2 * (tj + 2))
@@ -251,48 +240,3 @@ def spinor_harmonic(
     if down_sq:
         down = math.sqrt(down_sq) * spherical_harmonic(l, (tm + 1) // 2, theta, phi)
     return Spinor2(up, down)
-
-
-def angular_density(j: HalfIntLike, m: HalfIntLike, theta: float) -> float:
-    """Angular probability density Q_jm(theta) of a (j, m) Dirac state.
-
-    Common to both large and small components, independent of phi and of
-    the sign of kappa; normalized so the sphere integral is 1.
-    """
-    tj, tm = _spinor_jm(j, m)
-    l = (tj - 1) // 2
-    total = 0.0
-    if tj + tm:  # weight (j + m) against Y_{l, m-1/2}
-        total += (tj + tm) * abs(spherical_harmonic(l, (tm - 1) // 2, theta, 0.0)) ** 2
-    if tj - tm:  # weight (j - m) against Y_{l, m+1/2}
-        total += (tj - tm) * abs(spherical_harmonic(l, (tm + 1) // 2, theta, 0.0)) ** 2
-    return total / (2.0 * tj)
-
-
-def angular_density_coeffs(j: HalfIntLike, m: HalfIntLike) -> list:
-    """Coefficients a_s with Q_jm(theta) = sum_s a_s P_2s(cos theta).
-
-    s runs over 0 .. j - 1/2; a_0 = 1/(4 pi) always, which carries the
-    normalization of the sphere integral.
-    """
-    tj, tm = _spinor_jm(j, m)
-    coeffs = []
-    for s in range(((tj - 1) // 2) + 1):
-        # Fraction keeps the factorial ratios exact; one sqrt at the end.
-        root = Fraction(
-            (tj + 2 * s + 1) * math.factorial(tj - 2 * s),
-            (tj + 1) * math.factorial(tj + 2 * s),
-        )
-        ladder = Fraction(
-            math.factorial((tj - 1) // 2 + s) * math.factorial(2 * s),
-            math.factorial((tj - 1) // 2 - s) * math.factorial(s) ** 2,
-        )
-        sign, square = clebsch_gordan_exact(
-            HalfInt(tj), HalfInt(tm), 2 * s, 0, HalfInt(tj), HalfInt(tm)
-        )
-        value = sign * math.sqrt(root * ladder ** 2 * square)
-        value *= (4 * s + 1) / (4.0 * math.pi)
-        if s % 2:
-            value = -value
-        coeffs.append(value)
-    return coeffs

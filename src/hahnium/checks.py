@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .angular import Spinor2, clebsch_gordan_exact, spinor_harmonic
-from .hydrogen_nr import NrState, expect_r_power_nr, screening_nr
+from .hydrogen_nr import NrState, expect_r_power_nr, expect_recurrence_nr, screening_nr
 from .hydrogen_rel import (
     _SPECIAL_POWERS,
     ALPHA_FS,
@@ -126,6 +126,22 @@ def nr_exact(charges: Iterable, n_max: int) -> dict:
         for p, want in _textbook_moments_nr(Z, n, l).items()
     ]
     return _exact_record(f"textbook moments, exact (n<={n_max})", matches)
+
+
+def nr_recurrence(charges: Iterable, n_max: int, k_max: int) -> dict:
+    """The three-term moment recurrence equals the closed form exactly for
+    <r^k>, k = -1 .. k_max: rational Z, every state with n <= n_max."""
+    matches = []
+    for Z in charges:
+        for n in range(1, n_max + 1):
+            for l in range(n):
+                state = NrState(Z, n, l)
+                matches += [
+                    got.value == expect_r_power_nr(state, got.length_power).value
+                    for got in expect_recurrence_nr(state, k_max)
+                ]
+    name = f"moment recurrence vs closed form, exact (n<={n_max}, k<={k_max})"
+    return _exact_record(name, matches)
 
 
 def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: float,

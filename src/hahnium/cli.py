@@ -468,7 +468,8 @@ _SUITES = {
     "nr-oracle": lambda small, tol, budget: [
         checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, tol, budget)],
     "nr-exact": lambda small, tol, budget: [
-        checks.nr_exact((Fraction(1),), 4 if small else 8)],
+        checks.nr_exact((Fraction(1),), 4 if small else 8),
+        checks.nr_recurrence((Fraction(1),), 4 if small else 8, 8)],
     "rel-oracle": lambda small, tol, budget: checks.rel_oracle(
         _rel_grid(small, 2 if small else 4), -2, 3, tol, budget),
     "rel-special-cases": lambda small, tol, budget: checks.rel_special(

@@ -33,8 +33,6 @@ __all__ = [
     "expect_r_power_nr",
     "expect_recurrence_nr",
     "inversion_check_nr",
-    "deviation_nr",
-    "virial_check_nr",
     "screening_nr",
 ]
 
@@ -188,19 +186,6 @@ def inversion_check_nr(state: NrState, k: int):
     return lhs, rhs
 
 
-def deviation_nr(state: NrState) -> Real:
-    """Mean square deviation <(r - <r>)^2> in a0^2 units."""
-    n, l = state.n, state.l
-    shape = n**2 * (n**2 + 2) - l**2 * (l + 1) ** 2
-    return shape / (2 * _field(state.Z)(state.Z)) ** 2
-
-
-def virial_check_nr(state: NrState):
-    """(<U>, 2E) in Hartree: mean potential energy against twice the level."""
-    mean_u = -state.Z * expect_r_power_nr(state, -1).value
-    return mean_u, 2 * energy_nr(state)
-
-
 def _density_poly(n: int, l: int) -> list:
     """Integer coefficients, lowest power first, of (N! L_N^(2l+1))^2 with
     N = n-l-1.  In eta = 2Zr/n the density r^2 R^2 dr is e^-eta eta^(2l+2)
@@ -245,6 +230,8 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
     """
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     n, l, m = state.n, state.l, state.m
     z = float(state.Z)
     eta = 2.0 * z * r / n

@@ -22,9 +22,10 @@ error of about 1e-14 times the cancellation ratio max|t_i| / |sum t_i|.
 When that ratio exceeds 1e4, the bracket is recomputed in exact
 rational arithmetic at two nearby rational nu values and extrapolated
 linearly to the true nu, and the result is flagged.  Below the trigger
-the float sum is good to about 1e-10 or better.  The ratio peaks at about 3e3 over Z <= 137, |kappa| <= 6,
-n_r <= 30, p in [-8, 24]; it reaches 1e5..1e7 at kappa = 1 when Z is
-within 1e-3..1e-5 of the critical charge 1/alpha.
+the float sum is good to about 1e-10 or better.  The ratio peaks at
+about 3e3 over Z <= 137, |kappa| <= 6, n_r <= 30, p in [-8, 24]; it
+reaches 1e5..1e7 at kappa = 1 when Z is within 1e-3..1e-5 of the
+critical charge 1/alpha.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class RelState:
     def __post_init__(self) -> None:
         if not self.Z > 0:
             raise ValueError("Z must be positive")
+        if not 0 < self.alpha_fs < math.inf:
+            raise ValueError("alpha_fs must be positive and finite")
         if not isinstance(self.n_r, int) or self.n_r < 0:
             raise ValueError("n_r must be a nonnegative integer")
         if not isinstance(self.kappa, int) or self.kappa == 0:
@@ -440,6 +443,8 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     r*V -> Z (r -> 0), r*V -> Z-1 (r -> infinity).  ArithmeticError
     where V leaves binary64 range (a subnormal r).
     """
+    if not Z > 0:
+        raise ValueError("Z must be positive")
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
     mu = float(Z) * alpha_fs

@@ -6,8 +6,8 @@ Everything here reduces to
 
 for n >= m, integer alpha - beta and alpha + s > -1.  The closed form is a
 single terminating 3F2 at unit argument; all gamma-function ratios collapse
-to Pochhammer symbols, so only one Gamma(alpha+s+1) survives and the exact
-rational path just needs alpha + s to be a nonnegative integer.
+to Pochhammer symbols, so only one Gamma(alpha+s+1) survives, and it is the
+factorial (alpha+s)! that exact evaluation needs.
 
 Two evaluation routes exist.  The direct route keeps the series produced by
 repeated integration by parts; its partner is the image of that series under
@@ -20,10 +20,9 @@ The diagonal case n = m with integer s is where the discrete Chebyshev
 polynomials appear: J is a polynomial norm times t_k evaluated at the degree,
 which is what makes hydrogenic moment formulas three-term-recursive.
 
-Also here: connection coefficients between Laguerre families with different
-superscripts, and linearization coefficients of a product L_n^alpha L_m^alpha
-back into the same family.  (The screening potential's incomplete integrals
-live with the density they integrate, in `hydrogen_nr.screening_nr`.)
+Also here: linearization coefficients of a product L_n^alpha L_m^alpha back
+into the same family.  (The screening potential's incomplete integrals live
+with the density they integrate, in `hydrogen_nr.screening_nr`.)
 """
 
 from __future__ import annotations
@@ -37,25 +36,20 @@ from .orthopoly import chebyshev_discrete
 from .specfun import (
     HypSeriesSpec,
     _field,
-    _gamma,
     _hyp_in,
     _integer_value,
+    hyp_terminating_exact,
     pochhammer,
 )
 
 __all__ = [
     "JSpec",
     "LinearizationTriple",
-    "j_integral",
     "j_integral_exact",
-    "j_diag_positive",
     "j_diag_positive_exact",
-    "j_diag_negative",
     "j_diag_negative_exact",
-    "connection_coeffs",
     "linearization_coeffs",
     "linearization_closed_form",
-    "triple_product_integral",
 ]
 
 Real = Union[int, float, Fraction]
@@ -144,37 +138,14 @@ def _pick_route(spec: JSpec, route: str) -> str:
     return route
 
 
-def _j_value(spec: JSpec, route: str, field: type):
-    """Shared body of `j_integral` (field float) and `j_integral_exact`
-    (field Fraction, spec free of floats)."""
-    scale = _gamma(field(spec.alpha + spec.s) + 1)
-    scale *= field(pochhammer(spec.beta + 1, spec.m))
-    if _pick_route(spec, route) == "direct":
-        steps, series = spec.n, _series_direct(spec)
-    else:
-        steps, series = spec.n - spec.m, _series_transformed(spec)
-    sign = -1 if steps % 2 else 1
-    weight = field(pochhammer(spec.s - steps + 1, steps))
-    weight /= math.factorial(steps) * math.factorial(spec.m)
-    return sign * scale * weight * _hyp_in(field, series)
-
-
-def j_integral(spec: JSpec, route: str = "auto") -> float:
-    """Master integral as a float.
-
-    route="direct" uses the series straight from integration by parts,
-    route="transformed" its three-term transform; "auto" picks the one that
-    is regular for the given s.  Both are exposed so callers can assert
-    their agreement wherever both are finite.
-    """
-    return _j_value(spec, route, float)
-
-
 def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
     """Master integral in exact rational arithmetic.
 
     Requires alpha + s to be a nonnegative integer (so the surviving gamma
-    factor is a factorial) and all parameters rational.
+    factor is a factorial) and all parameters rational.  route="direct"
+    uses the series straight from integration by parts, route="transformed"
+    its three-term transform; "auto" picks the one that is regular for the
+    given s.
     """
     total = Fraction(spec.alpha) + Fraction(spec.s)
     if total.denominator != 1 or total < 0:
@@ -184,76 +155,50 @@ def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
         Fraction(x) if isinstance(x, float) else x
         for x in (spec.s, spec.alpha, spec.beta)
     )
-    return _j_value(JSpec(spec.n, spec.m, s, alpha, beta), route, Fraction)
-
-
-def _norm_sq(n: int, alpha):
-    """Squared norm Gamma(alpha+n+1)/n! of L_n^alpha, in the field of alpha."""
-    return _gamma(alpha + n + 1) / math.factorial(n)
-
-
-def _diag_positive(n: int, alpha, k: int):
-    """Body of `j_diag_positive` and its exact twin: alpha is a float or
-    an int, and the result follows its field."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    return _norm_sq(n, alpha) * chebyshev_discrete(k, n, -alpha)
-
-
-def _diag_negative(n: int, alpha, k: int):
-    """Body of `j_diag_negative` and its exact twin, as `_diag_positive`."""
-    if not 0 <= k < alpha:
-        raise ValueError("need 0 <= k < alpha")
-    norm = _norm_sq(n, alpha) / pochhammer(alpha - k, 2 * k + 1)
-    return norm * chebyshev_discrete(k, n, -alpha)
-
-
-def j_diag_positive(n: int, alpha: float, k: int) -> float:
-    """Diagonal moment J with weight x^(alpha+k), k >= 0 integer.
-
-    Equals the squared norm Gamma(alpha+n+1)/n! times the discrete Chebyshev
-    polynomial t_k(n, -alpha).
-    """
-    return _diag_positive(n, float(alpha), k)
+    spec = JSpec(spec.n, spec.m, s, alpha, beta)
+    if _pick_route(spec, route) == "direct":
+        steps, series = spec.n, _series_direct(spec)
+    else:
+        steps, series = spec.n - spec.m, _series_transformed(spec)
+    scale = Fraction(math.factorial(total.numerator) * pochhammer(beta + 1, spec.m))
+    scale *= pochhammer(s - steps + 1, steps)
+    scale /= math.factorial(steps) * math.factorial(spec.m)
+    return (-1 if steps % 2 else 1) * scale * hyp_terminating_exact(series)
 
 
 def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
-    """`j_diag_positive` in exact arithmetic; needs integer alpha, alpha + n >= 0."""
+    """Diagonal moment J with weight x^(alpha+k), k >= 0 integer, in exact
+    arithmetic; needs integer alpha with alpha + n >= 0.
+
+    Equals the squared norm (alpha+n)!/n! times the discrete Chebyshev
+    polynomial t_k(n, -alpha).
+    """
     if _integer_value(alpha) is None or alpha + n < 0:
         raise ValueError("exact evaluation needs integer alpha with alpha + n >= 0")
-    return _diag_positive(n, int(alpha), k)
+    if k < 0:
+        raise ValueError("k must be a nonnegative integer")
+    alpha = int(alpha)
+    norm = Fraction(math.factorial(alpha + n), math.factorial(n))
+    return norm * chebyshev_discrete(k, n, -alpha)
 
 
-def j_diag_negative(n: int, alpha: float, k: int) -> float:
-    """Diagonal inverse moment J with weight x^(alpha-k-1), 0 <= k < alpha.
+def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
+    """Diagonal inverse moment J with weight x^(alpha-k-1), 0 <= k < alpha,
+    in exact arithmetic; needs integer alpha.
 
     Same discrete Chebyshev value as the positive side; the norm is divided
     by the Pochhammer run (alpha-k)_(2k+1), which is where the k < alpha
     convergence bound shows up.
     """
-    return _diag_negative(n, float(alpha), k)
-
-
-def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
-    """`j_diag_negative` in exact arithmetic; needs integer alpha."""
     if _integer_value(alpha) is None:
         raise ValueError("exact evaluation needs integer alpha")
-    return _diag_negative(n, int(alpha), k)
-
-
-def connection_coeffs(n: int, alpha: Real, beta: Real) -> list:
-    """Coefficients expanding L_n^alpha over L_m^beta, m = 0..n.
-
-    coefficient[m] = (alpha-beta)_(n-m) / (n-m)!.  Exact when alpha and beta
-    are int/Fraction, floats otherwise.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    field = _field(alpha, beta)
-    return [
-        field(pochhammer(alpha - beta, n - m)) / math.factorial(n - m)
-        for m in range(n + 1)
-    ]
+    if not 0 <= k < alpha:
+        raise ValueError("need 0 <= k < alpha")
+    alpha = int(alpha)
+    norm = Fraction(
+        math.factorial(alpha + n), math.factorial(n) * pochhammer(alpha - k, 2 * k + 1)
+    )
+    return norm * chebyshev_discrete(k, n, -alpha)
 
 
 def _linearization_single(n: int, m: int, p: int, alpha: Real, field: type) -> Real:
@@ -324,17 +269,3 @@ def linearization_closed_form(n: int, m: int, p: int, alpha: Real) -> Real:
         (half if gap % 2 == 0 else 3 * half, alpha + k0 + 1),
     )
     return sign * pref * _hyp_in(field, series)
-
-
-def triple_product_integral(n: int, m: int, p: int, alpha: Real) -> Real:
-    """Weighted integral of L_n^alpha L_m^alpha L_p^alpha against x^alpha e^-x.
-
-    Norm of L_p times the linearization coefficient.  The sign pattern
-    (-1)^(n+m+p) times this is nonnegative for alpha > -1.  Exact
-    evaluation needs integer alpha + p >= 0.
-    """
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
-    field = _field(alpha)
-    alpha = field(alpha)
-    return _norm_sq(p, alpha) * _linearization_single(n, m, p, alpha, field)

@@ -21,9 +21,7 @@ __all__ = [
     "chebyshev_discrete",
     "hahn",
     "hahn_recurrence_rhs",
-    "jacobi",
     "laguerre",
-    "laguerre_derivative",
     "legendre",
 ]
 
@@ -76,13 +74,6 @@ def laguerre(spec: LaguerreSpec, x):
     for k in range(1, n):
         prev, curr = curr, ((alpha + 2 * k + 1 - x) * curr - (alpha + k) * prev) / (k + 1)
     return curr
-
-
-def laguerre_derivative(spec: LaguerreSpec, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x); zero for n = 0."""
-    if spec.degree == 0:
-        return x * 0
-    return -laguerre(LaguerreSpec(spec.degree - 1, spec.alpha + 1), x)
 
 
 def hahn(params: HahnParams, x):
@@ -159,27 +150,4 @@ def legendre(n: int, x):
     curr = x * 1
     for k in range(1, n):
         prev, curr = curr, ((2 * k + 1) * x * curr - k * prev) / (k + 1)
-    return curr
-
-
-def jacobi(n: int, alpha, beta, s):
-    """Jacobi polynomial P_n^{(alpha,beta)}(s) by the table recurrence.
-
-    Coefficients of s P_k = a_k P_{k+1} + b_k P_k + c_k P_{k-1}; the
-    k = 0 step is the explicit P_1 (the printed b_0 is 0/0 at
-    alpha + beta = 0).  Needs alpha + beta > -2.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    one = _field(alpha, beta, s)(1)
-    prev = s * 0 + 1
-    if n == 0:
-        return prev
-    curr = one * ((alpha + beta + 2) * s + (alpha - beta)) / 2
-    ab = alpha + beta
-    for k in range(1, n):
-        a_k = one * 2 * (k + 1) * (ab + k + 1) / ((ab + 2 * k + 1) * (ab + 2 * k + 2))
-        b_k = one * (beta - alpha) * (beta + alpha) / ((ab + 2 * k) * (ab + 2 * k + 2))
-        c_k = one * 2 * (alpha + k) * (beta + k) / ((ab + 2 * k) * (ab + 2 * k + 1))
-        prev, curr = curr, ((s - b_k) * curr - c_k * prev) / a_k
     return curr

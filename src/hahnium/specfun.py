@@ -6,11 +6,10 @@ Number fields: a closed form is evaluated exactly, over
 `fractions.Fraction`, if and only if every numeric input is an `int`
 (not `bool`) or a `Fraction`; otherwise it runs in binary64.  `_field`
 is the one place that applies this rule, and every closed form follows
-its answer through a single code path.  Pairs of entries that name
-their field instead (`hyp_terminating` and `hyp_terminating_exact`,
-and likewise `j_integral` and the `j_diag_*` functions) convert their
-inputs to it and share that path.  Compensated summation is for
-binary64 only; exact sums need none.
+its answer through a single code path.  The one pair of entries that
+names its field instead, `hyp_terminating` and `hyp_terminating_exact`,
+converts its inputs to it and shares that path.  Compensated summation
+is for binary64 only; exact sums need none.
 """
 
 from __future__ import annotations
@@ -23,13 +22,10 @@ from typing import Sequence
 __all__ = [
     "HypSeriesSpec",
     "gamma_ratio",
-    "gauss_2f1_unit",
     "hyp_terminating",
     "hyp_terminating_exact",
     "inc_gamma_upper",
     "pochhammer",
-    "recip_gamma",
-    "thomae_image",
 ]
 
 _MAX_LENTZ_ITER = 500
@@ -44,18 +40,6 @@ def _field(*values) -> type:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             return float
     return Fraction
-
-
-def _gamma(x):
-    """Gamma(x) in the field of x: a factorial for an exact x, which must
-    then be a positive integer, and `math.gamma` for a float."""
-    if _field(x) is float:
-        return math.gamma(x)
-    if x != int(x) or x < 1:
-        raise ValueError(
-            f"exact evaluation needs a positive integer gamma argument, got {x}"
-        )
-    return Fraction(math.factorial(int(x) - 1))
 
 
 def _compensated_sum(terms) -> float:
@@ -101,10 +85,6 @@ def _as_nonpositive_int(x) -> int | None:
     """int(x) when x is an integer-valued number <= 0, else None."""
     value = _integer_value(x)
     return value if value is not None and value <= 0 else None
-
-
-def _is_gamma_pole(x) -> bool:
-    return _as_nonpositive_int(x) is not None
 
 
 @dataclass(frozen=True)
@@ -191,14 +171,6 @@ def _ln_gamma_signed(x: float) -> tuple[float, int]:
     return math.lgamma(x), sign
 
 
-def recip_gamma(x: float) -> float:
-    """1/Gamma(x); identically zero at the poles (nonpositive integers)."""
-    if _is_gamma_pole(x):
-        return 0.0
-    ln_abs, sign = _ln_gamma_signed(float(x))
-    return sign * math.exp(-ln_abs)
-
-
 def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> float:
     """prod Gamma(numerators) / prod Gamma(denominators), sign tracked in log space.
 
@@ -206,9 +178,9 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
     upstairs is an error (callers rewrite those as Pochhammer symbols).
     """
     for x in numerators:
-        if _is_gamma_pole(x):
+        if _as_nonpositive_int(x) is not None:
             raise ValueError(f"gamma pole at {x} in a numerator")
-    if any(_is_gamma_pole(x) for x in denominators):
+    if any(_as_nonpositive_int(x) is not None for x in denominators):
         return 0.0
     log_total = 0.0
     sign = 1
@@ -221,42 +193,6 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
         log_total -= ln_abs
         sign *= s
     return sign * math.exp(log_total)
-
-
-def gauss_2f1_unit(a: float, b: float, c: float) -> float:
-    """2F1(a, b; c; 1) summed by the gamma evaluation.
-
-    Terminating cases (a or b a nonpositive integer) go through the
-    finite sum, which also covers parameter ranges where the gamma form
-    only holds as a limit.
-    """
-    if _as_nonpositive_int(a) is not None or _as_nonpositive_int(b) is not None:
-        return hyp_terminating(HypSeriesSpec((a, b), (c,), 1))
-    excess = c - a - b
-    if excess <= 0:
-        raise ValueError(
-            f"gauss_2f1_unit needs c - a - b > 0 for a nonterminating series, got {excess}"
-        )
-    if _is_gamma_pole(c):
-        raise ValueError(f"gamma pole at c = {c}")
-    return gamma_ratio((c, excess), (c - a, c - b))
-
-
-def thomae_image(n: int, a, b, c, d) -> tuple:
-    """Rewrite 3F2(-n, a, b; c, d; 1) as prefactor times another terminating 3F2.
-
-    Returns ((d-b)_n / (d)_n, 3F2(-n, c-a, b; c, b-d-n+1; 1)); evaluating
-    prefactor times the returned series must reproduce the original sum.
-    Exact when the inputs are exact.
-    """
-    if n < 0:
-        raise ValueError(f"thomae_image requires n >= 0, got {n}")
-    scale = pochhammer(d, n)
-    if scale == 0:
-        raise ValueError(f"(d)_n vanishes for d = {d}, n = {n}")
-    prefactor = pochhammer(d - b, n) / scale
-    image = HypSeriesSpec((-n, c - a, b), (c, b - d - n + 1), 1)
-    return prefactor, image
 
 
 def _inc_gamma_lower_series(alpha: float, z: float) -> float:

@@ -29,7 +29,6 @@ from hahnium.angular import HalfInt, clebsch_gordan, spherical_harmonic, spinor_
 from hahnium.hydrogen_nr import NrState, radial_nr, screening_nr
 from hahnium.laguerre_integrals import (
     JSpec,
-    connection_coeffs,
     j_diag_negative_exact,
     j_diag_positive_exact,
     j_integral_exact,
@@ -37,7 +36,7 @@ from hahnium.laguerre_integrals import (
     linearization_coeffs,
 )
 from hahnium.oracle import DEFAULT_BUDGET, quad_semi_infinite, sphere_quad
-from hahnium.orthopoly import LaguerreSpec, laguerre, legendre
+from hahnium.orthopoly import legendre
 from hahnium.specfun import pochhammer
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -68,11 +67,17 @@ def test_criterion_01_nr_closed_forms_match_quadrature():
 
 def test_criterion_02_known_moments_exact_in_rational_mode():
     # <r>, <r^2>, <1/r>, <1/r^2>, <1/r^3>, <1/r^4> against their
-    # textbook closed forms, exact Fraction equality, under 5 s
+    # textbook closed forms, and <r^k>, k = -1..8, from the three-term
+    # moment recurrence against the closed form; exact Fraction
+    # equality, under 5 s
     start = time.perf_counter()
-    result = checks.nr_exact((Fraction(1), Fraction(3)), 8)
+    charges = (Fraction(1), Fraction(3))
+    result = checks.nr_exact(charges, 8)
     assert result["cases"] == 400
     assert result["residual"] == 0.0, result
+    recurrence = checks.nr_recurrence(charges, 8, 8)
+    assert recurrence["cases"] == 720
+    assert recurrence["residual"] == 0.0, recurrence
     assert time.perf_counter() - start < 5.0
 
 
@@ -167,17 +172,6 @@ def test_criterion_07_master_integral_identities_exact():
                     JSpec(n, n, -k - 1, alpha, alpha)
                 )
 
-    # connection coefficients rebuild the polynomial they expand
-    xs = (Fraction(0), Fraction(1, 2), Fraction(3))
-    for n in range(0, 6):
-        for alpha, beta in ((3, 1), (Fraction(5, 2), Fraction(1, 2)), (2, 2)):
-            coeffs = connection_coeffs(n, alpha, beta)
-            for x in xs:
-                rebuilt = sum(
-                    coeffs[m] * laguerre(LaguerreSpec(m, beta), x) for m in range(n + 1)
-                )
-                assert rebuilt == laguerre(LaguerreSpec(n, alpha), x), (n, alpha, beta, x)
-
     # linearization: single sum equals the parity-split closed forms,
     # the leading coefficient is the pure gamma ratio, the expansion
     # rebuilds the product, and the sign pattern holds
@@ -194,6 +188,7 @@ def test_criterion_07_master_integral_identities_exact():
                     math.factorial(m) * pochhammer(Fraction(alpha) + 1, n - m)
                 )
                 assert triple.coefficients[0] == lead, (n, m, alpha)
+    xs = (Fraction(0), Fraction(1, 2), Fraction(3))
     result = checks.linearization(5, alphas, xs)
     assert result["residual"] == 0.0, result
 

@@ -8,14 +8,11 @@ import pytest
 
 from hahnium.angular import (
     HalfInt,
-    angular_density,
-    angular_density_coeffs,
     clebsch_gordan_exact,
     spherical_harmonic,
     spinor_harmonic,
 )
 from hahnium.oracle import sphere_quad
-from hahnium.orthopoly import legendre
 
 HALF = Fraction(1, 2)
 THETAS = (0.3, 1.1, 2.2)
@@ -120,27 +117,10 @@ def test_spin_orbit_eigenvalue_identity():
             assert j * (j + 1) - l * (l + 1) - Fraction(3, 4) == -(1 + kappa)
 
 
-def test_angular_density_normalization_and_coeffs():
-    for tj, tm in [(1, 1), (3, 1), (3, -3), (5, 3)]:
-        j, m = HalfInt(tj), HalfInt(tm)
-        coeffs = angular_density_coeffs(j, m)
-        assert coeffs[0] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-
-        def f(theta, phi):
-            return angular_density(j, m, theta) + 0j
-
-        assert abs(sphere_quad(f, tj + 3) - 1.0) <= 1e-12
-        for theta in THETAS:
-            rebuilt = sum(
-                a * legendre(2 * s, math.cos(theta)) for s, a in enumerate(coeffs)
-            )
-            assert angular_density(j, m, theta) == pytest.approx(rebuilt, rel=1e-13, abs=1e-15)
-
-
 def test_spinor_harmonic_validation():
     with pytest.raises(ValueError):
         spinor_harmonic(1, 0, 1, 0.5, 0.0)  # integer j is not allowed
     with pytest.raises(ValueError):
         spinor_harmonic(HALF, HALF, 0, 0.5, 0.0)  # branch must be +-1
     with pytest.raises(ValueError):
-        angular_density(HalfInt(3), HalfInt(5), 0.5)  # |m| > j
+        spinor_harmonic(HalfInt(3), HalfInt(5), 1, 0.5, 0.0)  # |m| > j

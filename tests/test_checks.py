@@ -51,6 +51,8 @@ CASES = {
     # exact checks
     "nr_exact": ("expect_r_power_nr", _scale_value, lambda: [
         checks.nr_exact((Fraction(1), Fraction(3)), 3)]),
+    "nr_recurrence": ("expect_r_power_nr", _scale_value, lambda: [
+        checks.nr_recurrence((Fraction(1), Fraction(3)), 3, 4)]),
     "linearization": ("laguerre", _scale, lambda: [
         checks.linearization(2, (Fraction(1, 2),), (Fraction(3, 7),))]),
     "j_orthogonality": ("j_integral_exact", _scale, lambda: [checks.j_orthogonality(2)]),

@@ -119,6 +119,7 @@ def test_screening_rel_matches_oracle():
     ("energy", "--nr", "-Z", "inf", "-n", "1"),
     ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "0.5,inf"),
     ("screening", "--rel", "-Z", "1", "--radii", "inf"),
+    ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "1.0", "--theta", "nan"),
 ])
 def test_non_finite_input_exits_2(args):
     proc = run_cli(*args, expect_code=2)

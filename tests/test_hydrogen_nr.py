@@ -8,14 +8,11 @@ import pytest
 
 from hahnium.hydrogen_nr import (
     NrState,
-    deviation_nr,
     energy_nr,
     expect_r_power_nr,
-    expect_recurrence_nr,
     inversion_check_nr,
     radial_nr,
     screening_nr,
-    virial_check_nr,
 )
 from hahnium.oracle import brute_expect_nr, quad_semi_infinite
 from test_acceptance import screening_from_multipoles, screening_multipoles_by_quadrature
@@ -80,16 +77,6 @@ def test_moment_scaling_in_z():
             assert scaled == base * Fraction(1, 2) ** p
 
 
-def test_recurrence_matches_closed_form_exactly():
-    for n in range(1, 9):
-        for l in (0, n // 2, n - 1):
-            state = NrState(Fraction(1), n, l)
-            ladder = expect_recurrence_nr(state, 8)
-            for expectation in ladder:
-                direct = expect_r_power_nr(state, expectation.length_power)
-                assert expectation.value == direct.value, (n, l, expectation.length_power)
-
-
 def test_inversion_relation_exact():
     for n, l in [(1, 0), (3, 1), (5, 4), (8, 3)]:
         state = NrState(Fraction(1), n, l)
@@ -98,20 +85,6 @@ def test_inversion_relation_exact():
             assert lhs == rhs
     with pytest.raises(ValueError):
         inversion_check_nr(NrState(Fraction(1), 2, 1), 3)
-
-
-def test_virial_theorem_exact():
-    for n, l in [(1, 0), (2, 1), (7, 3)]:
-        for z in (Fraction(1), Fraction(40)):
-            mean_u, twice_e = virial_check_nr(NrState(z, n, l))
-            assert mean_u == twice_e
-
-
-def test_mean_square_deviation():
-    for n, l in [(1, 0), (4, 2)]:
-        state = NrState(Fraction(1), n, l)
-        spread = expect_r_power_nr(state, 2).value - expect_r_power_nr(state, 1).value ** 2
-        assert deviation_nr(state) == spread
 
 
 def test_moment_domain_guard():
@@ -200,3 +173,6 @@ def test_screening_domain_guard():
     for r in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             screening_nr(state, r)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            screening_nr(state, 1.0, theta)

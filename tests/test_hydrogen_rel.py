@@ -37,6 +37,9 @@ def test_state_validation():
         RelState(1.0, -1, -1)
     with pytest.raises(ValueError):
         RelState(1.0, 1, 0)
+    for alpha_fs in (-ALPHA_FS, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha_fs"):
+            RelState(1.0, 1, -1, alpha_fs=alpha_fs)
 
 
 def test_quantum_number_bookkeeping():
@@ -189,6 +192,9 @@ def test_screened_potential_ground_state():
     for r in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             screening_rel_1s(1.0, r)
+    for z in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="Z must be positive"):
+            screening_rel_1s(z, 1.0)
 
 
 @pytest.mark.parametrize("potential, args", [

@@ -9,7 +9,6 @@ import pytest
 import hahnium.specfun as specfun
 from hahnium.hydrogen_nr import (
     NrState,
-    deviation_nr,
     energy_nr,
     expect_r_power_nr,
     expect_recurrence_nr,
@@ -19,23 +18,17 @@ from hahnium.hydrogen_nr import (
 from hahnium.hydrogen_rel import RelState, expect_r_power_rel
 from hahnium.laguerre_integrals import (
     JSpec,
-    connection_coeffs,
-    j_diag_negative,
     j_diag_negative_exact,
-    j_diag_positive,
     j_diag_positive_exact,
-    j_integral,
     j_integral_exact,
     linearization_closed_form,
     linearization_coeffs,
-    triple_product_integral,
 )
 from hahnium.orthopoly import (
     HahnParams,
     chebyshev_discrete,
     hahn,
     hahn_recurrence_rhs,
-    jacobi,
 )
 
 
@@ -69,9 +62,6 @@ def test_float_inputs_never_reach_the_fraction_series(no_exact_series):
     for p in range(-10, 9):
         assert isinstance(expect_r_power_nr(state, p).value, float), p
     assert isinstance(screening_nr(NrState(2.0, 4, 2, 1), 1.5, 0.3), float)
-    assert isinstance(j_diag_positive(6, 3, 5), float)
-    assert isinstance(j_diag_negative(6, 3, 2), float)
-    assert isinstance(j_integral(JSpec(4, 2, 3, 1, 1)), float)
     assert isinstance(hahn(HahnParams(5, 1, 2, -7), 2.5), float)
     assert isinstance(expect_r_power_rel(RelState(40.0, 2, -2), 3).value, float)
 
@@ -83,17 +73,13 @@ EXACT_CASES = {
         NrState(Fraction(5, 3), 3, 1), 3
     ),
     "inversion_check_nr": lambda: inversion_check_nr(NrState(3, 4, 2), 2),
-    "deviation_nr": lambda: deviation_nr(NrState(Fraction(1, 2), 5, 3)),
     "hahn": lambda: hahn(HahnParams(3, Fraction(1, 2), 2, -9), 4),
     "chebyshev_discrete": lambda: chebyshev_discrete(4, 3, -7),
     "hahn_recurrence_rhs": lambda: hahn_recurrence_rhs(
         2, 1, Fraction(1, 3), -8, 2, Fraction(1, 5), Fraction(-2, 7)
     ),
-    "jacobi": lambda: jacobi(3, 1, Fraction(1, 2), Fraction(1, 3)),
-    "connection_coeffs": lambda: connection_coeffs(3, Fraction(5, 2), 1),
     "linearization_coeffs": lambda: linearization_coeffs(3, 2, Fraction(1, 2)),
     "linearization_closed_form": lambda: linearization_closed_form(3, 2, 4, 2),
-    "triple_product_integral": lambda: triple_product_integral(3, 2, 2, 1),
     "j_integral_exact": lambda: j_integral_exact(JSpec(4, 2, 3, 1, 1)),
     "j_diag_positive_exact": lambda: j_diag_positive_exact(6, 3, 5),
     "j_diag_negative_exact": lambda: j_diag_negative_exact(6, 3, 2),
@@ -111,9 +97,7 @@ def test_bool_inputs_are_not_exact():
     assert specfun._field(True) is float
     assert specfun._field(1, False) is float
     assert isinstance(energy_nr(NrState(True, 1, 0)), float)
-    assert isinstance(jacobi(2, True, 0, Fraction(1, 2)), float)
     assert isinstance(hahn(HahnParams(2, 0, 0, -5), True), float)
-    assert all(isinstance(c, float) for c in connection_coeffs(3, True, 0))
     coefficients = linearization_coeffs(2, 1, True).coefficients
     assert all(isinstance(c, float) for c in coefficients)
 

@@ -14,13 +14,10 @@ from hypothesis import strategies as st
 from hahnium.specfun import (
     HypSeriesSpec,
     gamma_ratio,
-    gauss_2f1_unit,
     hyp_terminating,
     hyp_terminating_exact,
     inc_gamma_upper,
     pochhammer,
-    recip_gamma,
-    thomae_image,
 )
 from hahnium.specfun import _inc_gamma_lower_series, _inc_gamma_upper_lentz
 
@@ -60,13 +57,6 @@ def test_duplication_formula():
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
-def test_recip_gamma_vanishes_at_poles():
-    for k in range(0, 12):
-        assert recip_gamma(-float(k)) == 0.0
-    assert recip_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert recip_gamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-13)
-
-
 def test_gamma_ratio_pole_rules():
     # pole downstairs wins as an exact zero; pole upstairs is a caller bug
     assert gamma_ratio((2.0,), (-3.0,)) == 0.0
@@ -101,75 +91,6 @@ def test_denominator_pole_before_termination_raises():
     # (b)_k crosses zero at k = 2 while the series wants 4 terms
     with pytest.raises(ValueError):
         hyp_terminating(HypSeriesSpec((-4, 1.0), (-2.0,), 1))
-
-
-def _partial_sums_extrapolated(a: float, b: float, c: float) -> float:
-    """Sum of the Gauss series at unit argument by Richardson extrapolation.
-
-    The tail of the K-term partial sum expands in K^(-theta-j) with
-    theta = c-a-b; eliminating the known exponents level by level turns
-    a slowly convergent sum into a 1e-12-grade reference.
-    """
-    theta = c - a - b
-    levels = 6
-    base = 512
-    sums = []
-    term = 1.0
-    total = 0.0
-    k = 0
-    targets = [base * 2**i for i in range(levels + 1)]
-    for kmax in targets:
-        while k < kmax:
-            total += term
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            k += 1
-        sums.append(total)
-    for j in range(levels):
-        w = 2.0 ** -(theta + j)
-        sums = [
-            (sums[i + 1] - w * sums[i]) / (1.0 - w) for i in range(len(sums) - 1)
-        ]
-    return sums[0]
-
-
-def test_gauss_sum_against_extrapolated_series():
-    cases = [
-        (0.5, 0.25, 1.5),    # theta = 0.75, slowest tested decay
-        (-0.3, 0.8, 1.6),
-        (1.0, 1.0, 3.5),
-        (0.9, -1.4, 0.7),
-    ]
-    for a, b, c in cases:
-        assert c - a - b > 0.5
-        want = _partial_sums_extrapolated(a, b, c)
-        assert gauss_2f1_unit(a, b, c) == pytest.approx(want, rel=1e-10)
-
-
-def test_gauss_sum_terminating_branch():
-    got = gauss_2f1_unit(-3.0, 2.5, 4.0)
-    want = float(pochhammer(Fraction(3, 2), 3) / pochhammer(Fraction(4), 3))
-    assert got == pytest.approx(want, rel=1e-14)
-
-
-@given(
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-)
-@settings(max_examples=120, deadline=None)
-def test_thomae_rewrite_is_exact(n, pa, pb, qc, qd):
-    # fractional parts 1/7, 1/3 and 1/2+1/5 are chosen so that neither
-    # the direct denominators nor the rewritten one b-d-n+1 can ever
-    # land on an integer, keeping both series pole-free
-    a = Fraction(pa, 3) + Fraction(1, 7)
-    b = Fraction(pb, 3) + Fraction(1, 7)
-    c = Fraction(qc, 7) + Fraction(1, 3)
-    d = Fraction(qd, 5) + Fraction(1, 2)
-    original = hyp_terminating_exact(HypSeriesSpec((-n, a, b), (c, d), 1))
-    prefactor, image = thomae_image(n, a, b, c, d)
-    assert prefactor * hyp_terminating_exact(image) == original
 
 
 def test_inc_gamma_upper_reference_points():
