@@ -40,21 +40,8 @@ class HalfInt:
         if not isinstance(self.twice, int):
             raise ValueError("HalfInt stores the doubled value as an int")
 
-    @property
-    def is_whole(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2.0
-
-    def __add__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.twice + _twice(other))
-
-    def __sub__(self, other: HalfIntLike) -> "HalfInt":
-        return HalfInt(self.twice - _twice(other))
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -85,9 +72,6 @@ class Spinor2:
 
     def norm_squared(self) -> float:
         return abs(self.up) ** 2 + abs(self.down) ** 2
-
-    def scaled(self, factor: complex) -> "Spinor2":
-        return Spinor2(factor * self.up, factor * self.down)
 
 
 def _assoc_legendre(l: int, m: int, x: float) -> float:

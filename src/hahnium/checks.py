@@ -6,11 +6,11 @@ Each check takes its grid and tolerance as arguments and returns a record
     {"check": name, "residual": worst residual, "tol": tol,
      "ok": whether the check passed, "cases": comparisons made}
 
-Oracle checks also take the quadrature's rel_tol and work budget.  Exact
-checks count the cases that fail, with tol 0.  Rate checks need every
-error ratio under mu halving strictly inside a window; their residual is
-the worst distance outside it.  `hahnium verify` runs the checks on its
-small and full grids, the acceptance tests on the release grids.
+Oracle checks also take the quadrature's rel_tol.  Exact checks count
+the cases that fail, with tol 0.  Rate checks need every error ratio
+under mu halving strictly inside a window; their residual is the worst
+distance outside it.  `hahnium verify` runs the checks on its small and
+full grids, the acceptance tests on the release grids.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _converges(state: RelState, p: int) -> bool:
 
 
 def nr_oracle(charges: Iterable, n_max: int, p_max: int, rel_tol: float,
-              budget: int, tol: float = 1e-9) -> dict:
+              tol: float = 1e-9) -> dict:
     """<r^p> closed form against quadrature, relative: every state with
     n <= n_max and every p from -2l-2 to p_max."""
     deviations = []
@@ -93,7 +93,7 @@ def nr_oracle(charges: Iterable, n_max: int, p_max: int, rel_tol: float,
                 state = NrState(Z, n, l)
                 for p in range(-2 * l - 2, p_max + 1):
                     got = expect_r_power_nr(state, p).value
-                    want = brute_expect_nr(state, p, rel_tol=rel_tol, budget=budget)
+                    want = brute_expect_nr(state, p, rel_tol=rel_tol)
                     deviations.append(abs(got - want) / abs(want))
     name = f"moment closed form vs quadrature (n<={n_max}, p<={p_max})"
     return _record(name, deviations, tol)
@@ -145,7 +145,7 @@ def nr_recurrence(charges: Iterable, n_max: int, k_max: int) -> dict:
 
 
 def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: float,
-               budget: int, tol: float = 1e-9, flagged_tol: float = 1e-7) -> list:
+               tol: float = 1e-9, flagged_tol: float = 1e-7) -> list:
     """Dirac <r^p> closed form against quadrature, relative, for every
     convergent p in [p_min, p_max]: worst unflagged deviation, worst one
     where the cancellation flag is raised, and the number of flags."""
@@ -155,7 +155,7 @@ def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: floa
             if not _converges(state, p):
                 continue
             got = expect_r_power_rel(state, p)
-            want = brute_expect_rel(state, p, rel_tol=rel_tol, budget=budget)
+            want = brute_expect_rel(state, p, rel_tol=rel_tol)
             deviation = abs(got.value - want) / abs(want)
             (flagged if got.cancellation_flag else plain).append(deviation)
             unflagged.append(not got.cancellation_flag)

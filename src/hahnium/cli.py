@@ -10,7 +10,8 @@ Subcommands
 Output is machine-readable: JSON (one object per line, keys sorted) or
 CSV with a header row.  Every JSON record carries schema_version, the
 parsed inputs, the value(s), the unit, and the method.  Exit codes:
-0 success, 1 internal numerical failure, 2 invalid input.
+0 success, 1 internal numerical failure, 2 invalid input.  Every
+setting of a run is a flag.
 
 Half-integer quantum numbers are passed doubled (--two-j 3 is j = 3/2)
 so no float parsing is involved.  Radius grids are always given in Bohr
@@ -27,9 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -43,7 +42,7 @@ from .hydrogen_rel import (
     radial_rel,
     screening_rel_1s,
 )
-from .oracle import DEFAULT_BUDGET, brute_expect_nr, brute_expect_rel, brute_screening
+from .oracle import brute_expect_nr, brute_expect_rel, brute_screening
 
 SCHEMA_VERSION = 1
 
@@ -56,8 +55,6 @@ ELEMENTARY_CHARGE = 1.60217733e-19
 COMPTON_REDUCED_CM = BOHR_RADIUS_CM * ALPHA_FS
 MC2_ERG = ELECTRON_MASS_G * SPEED_OF_LIGHT_CM_S**2
 HARTREE_ERG = ALPHA_FS**2 * MC2_ERG
-
-SMALL_BUDGET = 150_000
 
 _UNIT_SYSTEMS = ("hartree_bohr", "natural_compton", "cgs")
 
@@ -109,80 +106,14 @@ _POTENTIAL_FACTOR = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings shared by all subcommands."""
-
-    unit_system: str
-    rel_tol: float = 1e-10
-    output_format: str = "json"
-    verify_budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.unit_system not in _UNIT_SYSTEMS:
-            raise ValueError(
-                f"unit_system must be one of {_UNIT_SYSTEMS}, "
-                f"got {self.unit_system!r}"
-            )
-        if not 1e-15 <= self.rel_tol <= 1e-3:
-            raise ValueError(
-                f"rel_tol must lie in [1e-15, 1e-3], got {self.rel_tol:g}"
-            )
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(
-                f"output_format must be json or csv, got {self.output_format!r}"
-            )
-        if self.verify_budget < 1:
-            raise ValueError("verify_budget must be a positive integer")
-
-
-def _read_config_file(path: str) -> dict:
-    """key = value lines; blank lines and # comments ignored."""
-    allowed = {"unit_system", "rel_tol", "output_format", "verify_budget"}
-    out: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip().strip("\"'")
-            if key not in allowed:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "rel_tol":
-                out[key] = float(value)
-            elif key == "verify_budget":
-                out[key] = int(value)
-            else:
-                out[key] = value
-    return out
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        settings.update(_read_config_file(args.config))
-    if getattr(args, "units", None):
-        settings["unit_system"] = args.units
-    if getattr(args, "rel_tol", None) is not None:
-        settings["rel_tol"] = args.rel_tol
-    if getattr(args, "format", None):
-        settings["output_format"] = args.format
-    if getattr(args, "budget", None):
-        settings["verify_budget"] = (
-            SMALL_BUDGET if args.budget == "small" else DEFAULT_BUDGET
+def _check_settings(args: argparse.Namespace) -> None:
+    """Range-check --rel-tol and default --units from the model."""
+    if not 1e-15 <= args.rel_tol <= 1e-3:
+        raise ValueError(
+            f"--rel-tol must lie in [1e-15, 1e-3], got {args.rel_tol:g}"
         )
-    env_budget = os.environ.get("HAHNIUM_BUDGET")
-    if env_budget is not None:
-        settings["verify_budget"] = int(env_budget)
-    if "unit_system" not in settings:
-        model = getattr(args, "model", None)
-        settings["unit_system"] = (
-            "natural_compton" if model == "rel" else "hartree_bohr"
-        )
-    return RunConfig(**settings)
+    if args.units is None:
+        args.units = "natural_compton" if args.model == "rel" else "hartree_bohr"
 
 
 def _build_state(args: argparse.Namespace):
@@ -223,11 +154,11 @@ def _build_state(args: argparse.Namespace):
     return RelState(args.Z, args.nr_quantum, kappa)
 
 
-def _inputs_record(args: argparse.Namespace, config: RunConfig, state) -> dict:
+def _inputs_record(args: argparse.Namespace, state) -> dict:
     record = {
         "command": args.command,
         "model": args.model,
-        "unit_system": config.unit_system,
+        "unit_system": args.units,
     }
     if isinstance(state, NrState):
         record.update({"Z": state.Z, "n": state.n, "l": state.l, "m": state.m})
@@ -240,10 +171,10 @@ def _emit_json(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _emit_rows(config: RunConfig, rows: Sequence[dict], columns: Sequence[str]) -> None:
+def _emit_rows(fmt: str, rows: Sequence[dict], columns: Sequence[str]) -> None:
     """One JSON record per row, or CSV: a header and each row projected
     onto `columns` (looked up in the row, then in its quantum_numbers)."""
-    if config.output_format == "json":
+    if fmt == "json":
         for row in rows:
             _emit_json(row)
         return
@@ -253,12 +184,12 @@ def _emit_rows(config: RunConfig, rows: Sequence[dict], columns: Sequence[str]) 
         sys.stdout.write(",".join(str(cell) for cell in cells) + "\n")
 
 
-def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_energy(args: argparse.Namespace) -> int:
     state = _build_state(args)
-    inputs = _inputs_record(args, config, state)
-    unit = _ENERGY_LABEL[config.unit_system]
+    inputs = _inputs_record(args, state)
+    unit = _ENERGY_LABEL[args.units]
     if isinstance(state, NrState):
-        value = energy_nr(state) * _ENERGY_FACTOR["hartree"][config.unit_system]
+        value = energy_nr(state) * _ENERGY_FACTOR["hartree"][args.units]
         record = {
             "schema_version": SCHEMA_VERSION,
             "model": "nr",
@@ -271,7 +202,7 @@ def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
         }
         columns = ["model", "Z", "n", "l", "m", "energy", "unit", "method"]
     else:
-        factor = _ENERGY_FACTOR["mc^2"][config.unit_system]
+        factor = _ENERGY_FACTOR["mc^2"][args.units]
         eps = energy_rel(state)
         record = {
             "schema_version": SCHEMA_VERSION,
@@ -294,7 +225,7 @@ def cmd_energy(args: argparse.Namespace, config: RunConfig) -> int:
             "model", "Z", "n_r", "kappa", "energy", "epsilon", "nu",
             "binding", "unit", "method",
         ]
-    _emit_rows(config, [record], columns)
+    _emit_rows(args.format, [record], columns)
     return 0
 
 
@@ -310,9 +241,9 @@ def _power_list(args: argparse.Namespace) -> list:
     return list(range(args.p_min, args.p_max + 1))
 
 
-def cmd_expectation(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_expectation(args: argparse.Namespace) -> int:
     state = _build_state(args)
-    inputs = _inputs_record(args, config, state)
+    inputs = _inputs_record(args, state)
     powers = _power_list(args)
     if isinstance(state, NrState):
         native = "bohr_radius"
@@ -322,8 +253,8 @@ def cmd_expectation(args: argparse.Namespace, config: RunConfig) -> int:
         native = "compton_reduced"
         compute = expect_r_power_rel
         oracle = brute_expect_rel
-    factor = _LENGTH_FACTOR[native][config.unit_system]
-    label = _LENGTH_LABEL[config.unit_system]
+    factor = _LENGTH_FACTOR[native][args.units]
+    label = _LENGTH_LABEL[args.units]
     rows = []
     for p in sorted(powers):
         result = compute(state, p)
@@ -341,7 +272,7 @@ def cmd_expectation(args: argparse.Namespace, config: RunConfig) -> int:
         if not isinstance(state, NrState):
             row["cancellation_flag"] = result.cancellation_flag
         if args.with_oracle:
-            reference = oracle(state, p, rel_tol=config.rel_tol) * factor**p
+            reference = oracle(state, p, rel_tol=args.rel_tol) * factor**p
             scale = max(abs(reference), sys.float_info.min)
             row["oracle"] = reference
             row["rel_diff"] = abs(value - reference) / scale
@@ -349,7 +280,7 @@ def cmd_expectation(args: argparse.Namespace, config: RunConfig) -> int:
     columns = ["p", "value", "unit", "unit_power", "method"]
     if args.with_oracle:
         columns += ["oracle", "rel_diff"]
-    _emit_rows(config, rows, columns)
+    _emit_rows(args.format, rows, columns)
     return 0
 
 
@@ -363,10 +294,10 @@ def _parse_radii(text: str) -> list:
     return radii
 
 
-def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_screening(args: argparse.Namespace) -> int:
     radii = _parse_radii(args.radii)
-    factor = _POTENTIAL_FACTOR[config.unit_system]
-    label = _POTENTIAL_LABEL[config.unit_system]
+    factor = _POTENTIAL_FACTOR[args.units]
+    label = _POTENTIAL_LABEL[args.units]
     oracle_fn: Optional[Callable] = None
     if args.model == "nr":
         state = _build_state(args)
@@ -385,7 +316,7 @@ def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
 
             def oracle_fn(r: float) -> float:
                 return brute_screening(
-                    density, state.Z, r, 2.0 * state.l, scale, config.rel_tol,
+                    density, state.Z, r, 2.0 * state.l, scale, args.rel_tol,
                     polynomial_degree=2.0 * (state.n - state.l - 1),
                 )
 
@@ -416,12 +347,12 @@ def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
                         r / ALPHA_FS,
                         2.0 * nu - 2.0,
                         2.0 * a,
-                        config.rel_tol,
+                        args.rel_tol,
                     )
                     / ALPHA_FS
                 )
 
-    inputs = _inputs_record(args, config, state)
+    inputs = _inputs_record(args, state)
     inputs["radii_bohr"] = radii
     if args.model == "nr":
         inputs["theta"] = args.theta
@@ -447,7 +378,7 @@ def cmd_screening(args: argparse.Namespace, config: RunConfig) -> int:
     columns = ["r_bohr", "value", "unit", "method"]
     if oracle_fn is not None:
         columns += ["oracle", "rel_diff"]
-    _emit_rows(config, rows, columns)
+    _emit_rows(args.format, rows, columns)
     return 0
 
 
@@ -462,31 +393,31 @@ def _rel_grid(small: bool, n_r_max: int) -> list:
     return checks.rel_states((1.0, 92.0), kappas, n_r_max)
 
 
-# Each suite maps (small grid?, oracle rel_tol, quadrature budget) to its
-# check records; the acceptance tests run the same checks on larger grids.
+# Each suite maps (small grid?, oracle rel_tol) to its check records; the
+# acceptance tests run the same checks on larger grids.
 _SUITES = {
-    "nr-oracle": lambda small, tol, budget: [
-        checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, tol, budget)],
-    "nr-exact": lambda small, tol, budget: [
+    "nr-oracle": lambda small, tol: [
+        checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, tol)],
+    "nr-exact": lambda small, tol: [
         checks.nr_exact((Fraction(1),), 4 if small else 8),
         checks.nr_recurrence((Fraction(1),), 4 if small else 8, 8)],
-    "rel-oracle": lambda small, tol, budget: checks.rel_oracle(
-        _rel_grid(small, 2 if small else 4), -2, 3, tol, budget),
-    "rel-special-cases": lambda small, tol, budget: checks.rel_special(
+    "rel-oracle": lambda small, tol: checks.rel_oracle(
+        _rel_grid(small, 2 if small else 4), -2, 3, tol),
+    "rel-special-cases": lambda small, tol: checks.rel_special(
         _rel_grid(small, 2)),
-    "identities": lambda small, tol, budget: [
+    "identities": lambda small, tol: [
         checks.linearization(3 if small else 5, (Fraction(0), Fraction(2), Fraction(5)),
                              (Fraction(3, 7), Fraction(5, 2))),
         checks.j_orthogonality(3 if small else 5)],
-    "angular": lambda small, tol, budget: [
+    "angular": lambda small, tol: [
         checks.cg_square_sums(3 if small else 5),
         checks.spinor_normalization((1, 3)),
         checks.sigma_flip(range(1, 4 if small else 6, 2), _FLIP_ANGLES)],
-    "screening": lambda small, tol, budget: [
+    "screening": lambda small, tol: [
         checks.screening_ground_state((1.0, 2.0), (0.1, 1.0, 5.0, 20.0)),
         checks.screening_rel_rate((4e-2, 2e-2, 1e-2), (1.0,)),
         checks.coulomb_limits((2.0,), 1e-8, 40.0)],
-    "limits": lambda small, tol, budget: [
+    "limits": lambda small, tol: [
         checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3), 2.5),
         checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])],
 }
@@ -494,7 +425,7 @@ _SUITES = {
 _VERIFY_KEYS = ("check", "residual", "tol", "ok")
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
     unknown = [name for name in names if name not in _SUITES]
     if unknown:
@@ -502,18 +433,18 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             f"unknown suite {unknown[0]!r}; choose from "
             f"{', '.join(sorted(_SUITES))}, all"
         )
-    small = config.verify_budget < DEFAULT_BUDGET
-    oracle_tol = min(config.rel_tol, 1e-11)
+    small = args.budget == "small"
+    oracle_tol = min(args.rel_tol, 1e-11)
     all_ok = True
     for name in names:
-        for result in _SUITES[name](small, oracle_tol, config.verify_budget):
+        for result in _SUITES[name](small, oracle_tol):
             all_ok &= result["ok"]
-            if config.output_format == "json":
+            if args.format == "json":
                 _emit_json(
                     {
                         "schema_version": SCHEMA_VERSION,
                         "suite": name,
-                        "inputs": {"suite": args.suite, "budget": config.verify_budget},
+                        "inputs": {"suite": args.suite, "budget": args.budget},
                         "method": "verify",
                         "unit": "dimensionless",
                         **{key: result[key] for key in _VERIFY_KEYS},
@@ -536,21 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
         "natural_compton for --rel)",
     )
     shared.add_argument(
-        "--format", choices=("json", "csv"), default=None,
+        "--format", choices=("json", "csv"), default="json",
         help="output format (default json, one object per line)",
     )
     shared.add_argument(
-        "--rel-tol", type=float, default=None,
-        help="relative tolerance for oracle columns (default 1e-10)",
-    )
-    shared.add_argument(
-        "--config", default=None, metavar="FILE",
-        help="key = value settings file (unit_system, rel_tol, "
-        "output_format, verify_budget)",
-    )
-    shared.add_argument(
-        "--budget", choices=("small", "full"), default=None,
-        help="work budget for verify suites; HAHNIUM_BUDGET overrides",
+        "--rel-tol", type=float, default=1e-10,
+        help="relative tolerance for oracle columns, in [1e-15, 1e-3] "
+        "(default 1e-10)",
     )
 
     state = argparse.ArgumentParser(add_help=False)
@@ -630,6 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", required=True,
         help=f"one of {', '.join(sorted(_SUITES))}, all",
     )
+    verify.add_argument(
+        "--budget", choices=("small", "full"), default="full",
+        help="grid of the suites: small or full (default full)",
+    )
     verify.set_defaults(func=cmd_verify, model=None)
 
     return parser
@@ -642,8 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _build_config(args)
-        return args.func(args, config)
+        _check_settings(args)
+        return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

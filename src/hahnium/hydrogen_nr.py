@@ -65,16 +65,16 @@ class NrState:
 class Expectation:
     """A radial moment <r^p> together with its unit bookkeeping.
 
-    value carries a factor unit**length_power; method records whether it
-    came from a closed form or from the quadrature oracle.  The
-    cancellation_flag is set by the relativistic closed form when severe
-    term cancellation forced the rational fallback path.
+    value carries a factor unit**length_power; method names the route
+    that computed it, "closed_form".  The cancellation_flag is set by the
+    relativistic closed form when severe term cancellation forced the
+    rational fallback path.
     """
 
     value: Real
     length_power: int
     unit: str  # "bohr_radius" | "compton_reduced"
-    method: str  # "closed_form" | "oracle"
+    method: str  # "closed_form"
     cancellation_flag: bool = False
 
 

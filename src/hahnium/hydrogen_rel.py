@@ -445,6 +445,8 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     """
     if not Z > 0:
         raise ValueError("Z must be positive")
+    if not 0 < alpha_fs < math.inf:
+        raise ValueError("alpha_fs must be positive and finite")
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
     mu = float(Z) * alpha_fs

@@ -35,7 +35,7 @@ from hahnium.laguerre_integrals import (
     linearization_closed_form,
     linearization_coeffs,
 )
-from hahnium.oracle import DEFAULT_BUDGET, quad_semi_infinite, sphere_quad
+from hahnium.oracle import quad_semi_infinite, sphere_quad
 from hahnium.orthopoly import legendre
 from hahnium.specfun import pochhammer
 
@@ -58,7 +58,7 @@ def test_criterion_01_nr_closed_forms_match_quadrature():
     # every state with n <= 10, every admissible power up to r^6,
     # against the brute-force oracle; relative 1e-9, under 30 s
     start = time.perf_counter()
-    result = checks.nr_oracle((1.0, 10.0), 10, 6, 1e-12, DEFAULT_BUDGET, tol=1e-9)
+    result = checks.nr_oracle((1.0, 10.0), 10, 6, 1e-12, tol=1e-9)
     elapsed = time.perf_counter() - start
     assert result["cases"] == 1650
     _assert_ok(result)
@@ -87,7 +87,7 @@ def test_criterion_03_rel_closed_forms_match_quadrature():
     # cancellation flag is raised, count reported), under 2 min
     start = time.perf_counter()
     plain, flagged, flags = checks.rel_oracle(
-        _rel_grid(), -3, 4, 1e-12, DEFAULT_BUDGET, tol=1e-9, flagged_tol=1e-7
+        _rel_grid(), -3, 4, 1e-12, tol=1e-9, flagged_tol=1e-7
     )
     elapsed = time.perf_counter() - start
     print(

@@ -20,12 +20,10 @@ PHIS = (0.0, 0.9, 4.0)
 
 
 def test_halfint_arithmetic():
-    j = HalfInt(3)  # 3/2
-    assert float(j) == 1.5
-    assert j.is_whole is False
-    assert float(j + HALF) == 2.0
+    assert float(HalfInt(3)) == 1.5
+    assert str(HalfInt(3)) == "3/2"
+    assert str(HalfInt(-3)) == "-3/2"
     assert str(HalfInt(4)) == "2"
-    assert str(-j) == "-3/2"
 
 
 def test_spherical_harmonic_degree_one_phases():

@@ -4,8 +4,8 @@ A name in a module's `__all__` stays only if code in `src/hahnium` or in
 `bench/` refers to it: as a name, an attribute, or a string constant that
 is exactly the name (the benchmark looks functions up by name).  Its own
 definition, a recursive call inside it and its `__all__` entry do not
-count, and neither do the unit tests.  The sources are parsed, never
-imported.
+count, and neither do the unit tests.  The package's own `__all__` lists
+its modules, every one of them.  The sources are parsed, never imported.
 """
 
 import ast
@@ -65,3 +65,9 @@ def unused_exports() -> list:
 
 def test_every_public_name_has_a_caller():
     assert unused_exports() == []
+
+
+def test_package_all_lists_every_module():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(_exports(init)) == sorted(modules)

@@ -13,7 +13,6 @@ import pytest
 
 from hahnium import checks
 from hahnium.angular import Spinor2
-from hahnium.oracle import DEFAULT_BUDGET
 
 
 def _scale(x):
@@ -35,9 +34,9 @@ def _rel_grid():
 # case -> (function skewed inside checks, skew, the check's records)
 CASES = {
     "nr_oracle": ("expect_r_power_nr", _scale_value, lambda: [
-        checks.nr_oracle((1.0,), 2, 2, 1e-12, DEFAULT_BUDGET)]),
+        checks.nr_oracle((1.0,), 2, 2, 1e-12)]),
     "rel_oracle": ("expect_r_power_rel", _scale_value, lambda: checks.rel_oracle(
-        _rel_grid(), -2, 2, 1e-12, DEFAULT_BUDGET)[:1]),
+        _rel_grid(), -2, 2, 1e-12)[:1]),
     "rel_special": ("expect_special_rel", _scale_value,
                     lambda: checks.rel_special(_rel_grid())[:1]),
     "rel_special norm": ("expect_r_power_rel", _scale_value,
@@ -60,7 +59,7 @@ CASES = {
                        lambda: [checks.cg_square_sums(2)]),
     "rel_oracle flags": (
         "expect_r_power_rel", lambda e: dataclasses.replace(e, cancellation_flag=True),
-        lambda: checks.rel_oracle(_rel_grid(), -1, 1, 1e-12, DEFAULT_BUDGET)[2:]),
+        lambda: checks.rel_oracle(_rel_grid(), -1, 1, 1e-12)[2:]),
 }
 
 

@@ -1,25 +1,24 @@
-"""End-to-end command-line checks driven through subprocess."""
+"""End-to-end command-line checks, driven through subprocess except
+where a check is skewed in-process to make verify fail."""
 
+import dataclasses
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from hahnium import checks, cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env_extra=None, expect_code=0):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, expect_code=0):
     proc = subprocess.run(
         [sys.executable, "-m", "hahnium.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == expect_code, (proc.returncode, proc.stderr, proc.stdout)
     return proc
@@ -120,10 +119,22 @@ def test_screening_rel_matches_oracle():
     ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "0.5,inf"),
     ("screening", "--rel", "-Z", "1", "--radii", "inf"),
     ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "1.0", "--theta", "nan"),
+    ("energy", "--nr", "-Z", "1", "-n", "1", "--rel-tol", "1"),
 ])
 def test_non_finite_input_exits_2(args):
     proc = run_cli(*args, expect_code=2)
     assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "1e-310"),
+    ("screening", "--rel", "-Z", "1", "--radii", "1e-310"),
+])
+def test_potential_beyond_binary64_exits_1(args):
+    # a subnormal radius puts Z/r past the largest double
+    proc = run_cli(*args, expect_code=1)
+    assert proc.stderr.startswith("numerical failure:")
     assert proc.stdout == ""
 
 
@@ -153,21 +164,6 @@ def test_cgs_units_energy():
     assert record["energy"] == pytest.approx(-2.17987410165e-11, rel=1e-8)
 
 
-def test_config_file_and_env_precedence(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("unit_system = cgs\nrel_tol = 1e-9\n")
-    proc = run_cli(
-        "energy", "--nr", "-Z", "2", "-n", "2", "--config", str(config),
-    )
-    assert json.loads(proc.stdout)["unit"] == "erg"
-    # explicit flag wins over the file
-    proc = run_cli(
-        "energy", "--nr", "-Z", "2", "-n", "2", "--config", str(config),
-        "--units", "hartree_bohr",
-    )
-    assert json.loads(proc.stdout)["unit"] == "hartree"
-
-
 VERIFY_SUITES = (
     "angular", "identities", "limits", "nr-exact", "nr-oracle", "rel-oracle",
     "rel-special-cases", "screening",
@@ -193,20 +189,26 @@ def test_verify_unknown_suite_exits_2():
         assert suite in proc.stderr
 
 
-def test_verify_env_budget_accepted():
-    run_cli(
-        "verify", "--suite", "identities",
-        env_extra={"HAHNIUM_BUDGET": "150000"},
-    )
+def test_verify_fails_when_a_check_is_off(monkeypatch, capsys):
+    original = checks.expect_r_power_nr
+
+    def skewed(*args):
+        result = original(*args)
+        return dataclasses.replace(result, value=result.value * 2)
+
+    monkeypatch.setattr(checks, "expect_r_power_nr", skewed)
+    code = cli.main(["verify", "--suite", "nr-exact", "--budget", "small",
+                     "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any(line.startswith("FAIL nr-exact:") for line in lines), lines
 
 
-def test_verify_budget_reaches_quadrature():
-    # 100 points cannot pay for the initial panels of one integral
-    proc = run_cli(
-        "verify", "--suite", "nr-oracle",
-        env_extra={"HAHNIUM_BUDGET": "100"}, expect_code=1,
-    )
-    assert "numerical failure" in proc.stderr
+def test_removed_settings_exit_2():
+    # settings are flags only: no settings file, and --budget belongs to verify
+    energy = ("energy", "--nr", "-Z", "1", "-n", "1")
+    run_cli(*energy, "--config", "run.cfg", expect_code=2)
+    run_cli(*energy, "--budget", "small", expect_code=2)
 
 
 def test_missing_model_flag_exits_2():

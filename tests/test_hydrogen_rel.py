@@ -195,6 +195,9 @@ def test_screened_potential_ground_state():
     for z in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="Z must be positive"):
             screening_rel_1s(z, 1.0)
+    for alpha_fs in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha_fs must be positive and finite"):
+            screening_rel_1s(1.0, 1.0, alpha_fs=alpha_fs)
 
 
 @pytest.mark.parametrize("potential, args", [
