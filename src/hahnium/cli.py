@@ -10,14 +10,19 @@ Subcommands
 Output is machine-readable: JSON (one object per line, keys sorted) or
 CSV with a header row.  Every JSON record carries schema_version, the
 parsed inputs, the value(s), the unit, and the method.  Exit codes:
-0 success, 1 internal numerical failure, 2 invalid input.  Every
-setting of a run is a flag.
+0 success, 1 internal numerical failure, 2 invalid input.
 
-Half-integer quantum numbers are passed doubled (--two-j 3 is j = 3/2)
-so no float parsing is involved.  Radius grids are always given in Bohr
-radii regardless of the output unit system.
+Each subcommand takes only the flags it reads.  Every one takes
+--format.  energy, expectation and screening take --units and a state:
+--nr with -Z, -n, -l, -m, or --rel with -Z, --nr-quantum, --kappa; a
+flag of the other model is refused.  expectation adds the powers and
+--with-oracle, screening adds --radii, --theta (--nr only) and
+--with-oracle.  verify takes --suite and --budget.  Radius grids are
+always given in Bohr radii regardless of the output unit system.
 
-The verify suites hold no checks of their own: each runs functions of
+The oracle columns of expectation and screening run the quadrature at
+ORACLE_REL_TOL; the verify suites run it at VERIFY_ORACLE_REL_TOL.  The
+suites hold no checks of their own: each runs functions of
 `hahnium.checks` on a small or a full grid (--budget).  The acceptance
 tests run the same functions on the release grids, which are the larger
 ones.
@@ -45,6 +50,10 @@ from .hydrogen_rel import (
 from .oracle import brute_expect_nr, brute_expect_rel, brute_screening
 
 SCHEMA_VERSION = 1
+
+# quadrature rel_tol of the oracle columns and of the verify oracle suites
+ORACLE_REL_TOL = 1e-10
+VERIFY_ORACLE_REL_TOL = 1e-11
 
 # cgs constants, quoted values
 SPEED_OF_LIGHT_CM_S = 2.99792458e10
@@ -106,52 +115,29 @@ _POTENTIAL_FACTOR = {
 }
 
 
-def _check_settings(args: argparse.Namespace) -> None:
-    """Range-check --rel-tol and default --units from the model."""
-    if not 1e-15 <= args.rel_tol <= 1e-3:
-        raise ValueError(
-            f"--rel-tol must lie in [1e-15, 1e-3], got {args.rel_tol:g}"
-        )
-    if args.units is None:
-        args.units = "natural_compton" if args.model == "rel" else "hartree_bohr"
+# the state flags of each model, by argparse dest
+_STATE_FLAGS = {
+    "nr": {"n": "-n", "l": "-l", "m": "-m"},
+    "rel": {"nr_quantum": "--nr-quantum", "kappa": "--kappa"},
+}
 
 
 def _build_state(args: argparse.Namespace):
-    """NrState or RelState from the parsed flags; ValueError on misuse."""
+    """NrState or RelState from the parsed flags, and --units defaulted
+    from the model; ValueError on a state flag of the other model."""
+    other = "rel" if args.model == "nr" else "nr"
+    for dest, flag in _STATE_FLAGS[other].items():
+        if getattr(args, dest) is not None:
+            raise ValueError(f"{flag} is a --{other} flag; use --{other} or drop it")
+    if args.units is None:
+        args.units = "natural_compton" if args.model == "rel" else "hartree_bohr"
     if args.model == "nr":
         if args.n is None:
             raise ValueError("--nr needs -n (principal quantum number)")
-        forbidden = [
-            flag
-            for flag, val in (
-                ("--nr-quantum", args.nr_quantum),
-                ("--kappa", args.kappa),
-                ("--two-j", args.two_j),
-            )
-            if val is not None
-        ]
-        if forbidden:
-            raise ValueError(f"{forbidden[0]} is a relativistic flag; use --rel")
         return NrState(args.Z, args.n, args.l or 0, args.m or 0)
-    if args.nr_quantum is None:
-        raise ValueError("--rel needs --nr-quantum (radial quantum number)")
-    if args.n is not None or args.l is not None:
-        raise ValueError("-n/-l are nonrelativistic flags; use --kappa or --two-j")
-    if args.kappa is not None and args.two_j is not None:
-        raise ValueError("give either --kappa or --two-j, not both")
-    if args.kappa is not None:
-        kappa = args.kappa
-    elif args.two_j is not None:
-        if args.two_j < 1 or args.two_j % 2 == 0:
-            raise ValueError(
-                f"--two-j takes a positive odd integer (doubled j), got {args.two_j}"
-            )
-        if args.branch is None:
-            raise ValueError("--two-j needs --branch 1 (l=j+1/2) or --branch -1")
-        kappa = args.branch * (args.two_j + 1) // 2
-    else:
-        raise ValueError("--rel needs --kappa (or --two-j with --branch)")
-    return RelState(args.Z, args.nr_quantum, kappa)
+    if args.nr_quantum is None or args.kappa is None:
+        raise ValueError("--rel needs --nr-quantum and --kappa")
+    return RelState(args.Z, args.nr_quantum, args.kappa)
 
 
 def _inputs_record(args: argparse.Namespace, state) -> dict:
@@ -272,7 +258,7 @@ def cmd_expectation(args: argparse.Namespace) -> int:
         if not isinstance(state, NrState):
             row["cancellation_flag"] = result.cancellation_flag
         if args.with_oracle:
-            reference = oracle(state, p, rel_tol=args.rel_tol) * factor**p
+            reference = oracle(state, p, rel_tol=ORACLE_REL_TOL) * factor**p
             scale = max(abs(reference), sys.float_info.min)
             row["oracle"] = reference
             row["rel_diff"] = abs(value - reference) / scale
@@ -296,11 +282,14 @@ def _parse_radii(text: str) -> list:
 
 def cmd_screening(args: argparse.Namespace) -> int:
     radii = _parse_radii(args.radii)
+    # relativistic screening covers 1S only, the state when no Dirac flag is given
+    if args.model == "rel" and args.nr_quantum is None and args.kappa is None:
+        args.nr_quantum, args.kappa = 0, -1
+    state = _build_state(args)
     factor = _POTENTIAL_FACTOR[args.units]
     label = _POTENTIAL_LABEL[args.units]
     oracle_fn: Optional[Callable] = None
     if args.model == "nr":
-        state = _build_state(args)
         theta = args.theta
 
         def closed_form(r: float) -> float:
@@ -316,19 +305,18 @@ def cmd_screening(args: argparse.Namespace) -> int:
 
             def oracle_fn(r: float) -> float:
                 return brute_screening(
-                    density, state.Z, r, 2.0 * state.l, scale, args.rel_tol,
+                    density, state.Z, r, 0.0, scale, ORACLE_REL_TOL,
                     polynomial_degree=2.0 * (state.n - state.l - 1),
                 )
 
     else:
-        if args.nr_quantum not in (None, 0) or args.kappa not in (None, -1):
+        if (state.n_r, state.kappa) != (0, -1):
             raise ValueError(
                 "relativistic screening covers the 1S state only "
                 "(--nr-quantum 0 --kappa -1)"
             )
         if args.theta:
             raise ValueError("--theta applies to nonrelativistic screening only")
-        state = RelState(args.Z, 0, -1)
 
         def closed_form(r: float) -> float:
             return screening_rel_1s(state.Z, r)
@@ -347,7 +335,7 @@ def cmd_screening(args: argparse.Namespace) -> int:
                         r / ALPHA_FS,
                         2.0 * nu - 2.0,
                         2.0 * a,
-                        args.rel_tol,
+                        ORACLE_REL_TOL,
                     )
                     / ALPHA_FS
                 )
@@ -393,31 +381,31 @@ def _rel_grid(small: bool, n_r_max: int) -> list:
     return checks.rel_states((1.0, 92.0), kappas, n_r_max)
 
 
-# Each suite maps (small grid?, oracle rel_tol) to its check records; the
-# acceptance tests run the same checks on larger grids.
+# Each suite maps "small grid?" to its check records; the acceptance tests
+# run the same checks on larger grids.
 _SUITES = {
-    "nr-oracle": lambda small, tol: [
-        checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, tol)],
-    "nr-exact": lambda small, tol: [
+    "nr-oracle": lambda small: [
+        checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, VERIFY_ORACLE_REL_TOL)],
+    "nr-exact": lambda small: [
         checks.nr_exact((Fraction(1),), 4 if small else 8),
         checks.nr_recurrence((Fraction(1),), 4 if small else 8, 8)],
-    "rel-oracle": lambda small, tol: checks.rel_oracle(
-        _rel_grid(small, 2 if small else 4), -2, 3, tol),
-    "rel-special-cases": lambda small, tol: checks.rel_special(
+    "rel-oracle": lambda small: checks.rel_oracle(
+        _rel_grid(small, 2 if small else 4), -2, 3, VERIFY_ORACLE_REL_TOL),
+    "rel-special-cases": lambda small: checks.rel_special(
         _rel_grid(small, 2)),
-    "identities": lambda small, tol: [
+    "identities": lambda small: [
         checks.linearization(3 if small else 5, (Fraction(0), Fraction(2), Fraction(5)),
                              (Fraction(3, 7), Fraction(5, 2))),
         checks.j_orthogonality(3 if small else 5)],
-    "angular": lambda small, tol: [
+    "angular": lambda small: [
         checks.cg_square_sums(3 if small else 5),
         checks.spinor_normalization((1, 3)),
         checks.sigma_flip(range(1, 4 if small else 6, 2), _FLIP_ANGLES)],
-    "screening": lambda small, tol: [
+    "screening": lambda small: [
         checks.screening_ground_state((1.0, 2.0), (0.1, 1.0, 5.0, 20.0)),
         checks.screening_rel_rate((4e-2, 2e-2, 1e-2), (1.0,)),
         checks.coulomb_limits((2.0,), 1e-8, 40.0)],
-    "limits": lambda small, tol: [
+    "limits": lambda small: [
         checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3), 2.5),
         checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])],
 }
@@ -434,10 +422,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(_SUITES))}, all"
         )
     small = args.budget == "small"
-    oracle_tol = min(args.rel_tol, 1e-11)
     all_ok = True
     for name in names:
-        for result in _SUITES[name](small, oracle_tol):
+        for result in _SUITES[name](small):
             all_ok &= result["ok"]
             if args.format == "json":
                 _emit_json(
@@ -460,31 +447,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="output format (default json, one object per line)",
+    )
+
+    state = argparse.ArgumentParser(add_help=False, parents=[output])
+    state.add_argument(
         "--units", choices=_UNIT_SYSTEMS, default=None,
         help="output unit system (default: hartree_bohr for --nr, "
         "natural_compton for --rel)",
     )
-    shared.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="output format (default json, one object per line)",
-    )
-    shared.add_argument(
-        "--rel-tol", type=float, default=1e-10,
-        help="relative tolerance for oracle columns, in [1e-15, 1e-3] "
-        "(default 1e-10)",
-    )
-
-    state = argparse.ArgumentParser(add_help=False)
     model = state.add_mutually_exclusive_group(required=True)
     model.add_argument(
         "--nr", dest="model", action="store_const", const="nr",
-        help="nonrelativistic bound state",
+        help="nonrelativistic bound state: -n, -l (default 0), -m (default 0)",
     )
     model.add_argument(
         "--rel", dest="model", action="store_const", const="rel",
-        help="relativistic bound state",
+        help="relativistic bound state: --nr-quantum, --kappa",
     )
     state.add_argument("-Z", type=float, required=True, help="nuclear charge")
     state.add_argument("-n", type=int, default=None, help="principal quantum number")
@@ -498,14 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kappa", type=int, default=None,
         help="Dirac angular quantum number (nonzero integer)",
     )
-    state.add_argument(
-        "--two-j", type=int, default=None,
-        help="doubled total angular momentum (3 means j = 3/2)",
-    )
-    state.add_argument(
-        "--branch", type=int, choices=(1, -1), default=None,
-        help="sign of kappa when --two-j is used (1: l = j+1/2)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="hahnium",
@@ -515,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     energy = sub.add_parser(
-        "energy", parents=[shared, state], help="bound-state level"
+        "energy", parents=[state], help="bound-state level"
     )
     energy.set_defaults(func=cmd_energy)
 
     expectation = sub.add_parser(
-        "expectation", parents=[shared, state], help="radial moments <r^p>"
+        "expectation", parents=[state], help="radial moments <r^p>"
     )
     expectation.add_argument("-p", type=int, default=None, help="single power")
     expectation.add_argument("--p-min", type=int, default=None)
@@ -532,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     expectation.set_defaults(func=cmd_expectation)
 
     screening = sub.add_parser(
-        "screening", parents=[shared, state],
-        help="screened potential V(r) on a radius grid",
+        "screening", parents=[state],
+        help="screened potential V(r) on a radius grid (--rel: 1S only)",
     )
     screening.add_argument(
         "--radii", required=True,
@@ -541,13 +515,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     screening.add_argument(
         "--theta", type=float, default=0.0,
-        help="polar angle for nonspherical states (radians)",
+        help="polar angle for nonspherical states (radians, --nr only)",
     )
-    screening.add_argument("--with-oracle", action="store_true")
+    screening.add_argument(
+        "--with-oracle", action="store_true",
+        help="append a quadrature column and relative difference (--nr: l = 0)",
+    )
     screening.set_defaults(func=cmd_screening)
 
     verify = sub.add_parser(
-        "verify", parents=[shared], help="run a self-check suite"
+        "verify", parents=[output], help="run a self-check suite"
     )
     verify.add_argument(
         "--suite", required=True,
@@ -557,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", choices=("small", "full"), default="full",
         help="grid of the suites: small or full (default full)",
     )
-    verify.set_defaults(func=cmd_verify, model=None)
+    verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -569,7 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_settings(args)
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

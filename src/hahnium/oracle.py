@@ -229,7 +229,7 @@ def quad_semi_infinite(
 
 
 @lru_cache(maxsize=4096)
-def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float, budget: int) -> float:
+def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
     """Unnormalized nonrelativistic moment integral over the density shape."""
     scale = 2.0 * z / n
     spec = LaguerreSpec(n - l - 1, 2 * l + 1)
@@ -240,33 +240,27 @@ def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float, budget: int) ->
         return np.exp(-eta) * np.power(eta, 2 * l) * shape * shape * np.power(r, p + 2.0)
 
     return quad_semi_infinite(
-        integrand, 2 * l + p + 2, scale, rel_tol, budget=budget,
-        polynomial_degree=2 * n + p,
+        integrand, 2 * l + p + 2, scale, rel_tol, polynomial_degree=2 * n + p,
     ).value
 
 
-def brute_expect_nr(
-    state, p: int, rel_tol: float = 1e-12, budget: int = DEFAULT_BUDGET
-) -> float:
+def brute_expect_nr(state, p: int, rel_tol: float = 1e-12) -> float:
     """Radial moment <r^p> (a0 units) of a nonrelativistic state by quadrature.
 
     The unnormalized density is assembled directly from the Laguerre
     shape; the normalization denominator is computed, not assumed.  The
-    state object only needs Z, n, l attributes; `budget` caps the
-    evaluations of each of the two integrals.
+    state object only needs Z, n, l attributes.
     """
     z, n, l = float(state.Z), int(state.n), int(state.l)
     if not 0 <= l < n:
         raise ValueError(f"need 0 <= l < n, got l={l}, n={n}")
     if p <= -2 * l - 3:
         raise ValueError(f"moment p={p} diverges for l={l} (need p >= {-2 * l - 2})")
-    return _nr_moment(z, n, l, p, rel_tol, budget) / _nr_moment(z, n, l, 0, rel_tol, budget)
+    return _nr_moment(z, n, l, p, rel_tol) / _nr_moment(z, n, l, 0, rel_tol)
 
 
 @lru_cache(maxsize=4096)
-def _rel_moment(
-    mu: float, n_r: int, kappa: int, p: int, rel_tol: float, budget: int
-) -> float:
+def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> float:
     """Unnormalized Dirac moment integral from the traditional radial form.
 
     The large/small components are linear combinations of L_{n-1}^{2nu}
@@ -303,20 +297,17 @@ def _rel_moment(
         )
 
     return quad_semi_infinite(
-        integrand, 2.0 * nu + p, 2.0 * a, rel_tol, budget=budget,
+        integrand, 2.0 * nu + p, 2.0 * a, rel_tol,
         polynomial_degree=2.0 * nu + 2 * n_r + p,
     ).value
 
 
-def brute_expect_rel(
-    state, p: int, rel_tol: float = 1e-12, budget: int = DEFAULT_BUDGET
-) -> float:
+def brute_expect_rel(state, p: int, rel_tol: float = 1e-12) -> float:
     """Radial moment <r^p> (Compton units) of a Dirac state by quadrature.
 
     The state object only needs mu, n_r, kappa attributes; the density
     route (traditional radial form) is disjoint from the production
-    closed forms, and the normalization is computed; `budget` caps the
-    evaluations of each of the two integrals.
+    closed forms, and the normalization is computed.
     """
     mu, n_r, kappa = float(state.mu), int(state.n_r), int(state.kappa)
     if kappa == 0:
@@ -329,8 +320,8 @@ def brute_expect_rel(
     if 2.0 * nu + p + 1.0 <= 0.0:
         raise ValueError(f"moment p={p} diverges (need 2*nu + p + 1 > 0, nu={nu})")
     return (
-        _rel_moment(mu, n_r, kappa, p, rel_tol, budget)
-        / _rel_moment(mu, n_r, kappa, 0, rel_tol, budget)
+        _rel_moment(mu, n_r, kappa, p, rel_tol)
+        / _rel_moment(mu, n_r, kappa, 0, rel_tol)
     )
 
 

@@ -15,7 +15,6 @@ unit tests import.
 import functools
 import itertools
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -365,15 +364,11 @@ def screening_from_multipoles(Z: float, l: int, m: int, r: float, theta: float,
     return Z / r - electron, electron
 
 
-def _run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "hahnium.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
     return proc.stdout

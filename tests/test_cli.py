@@ -1,6 +1,7 @@
 """End-to-end command-line checks, driven through subprocess except
 where a check is skewed in-process to make verify fail."""
 
+import argparse
 import dataclasses
 import json
 import pathlib
@@ -114,12 +115,17 @@ def test_screening_rel_matches_oracle():
         assert record["rel_diff"] <= 1e-9
 
 
+def test_screening_rel_defaults_to_1s():
+    args = ("screening", "--rel", "-Z", "80", "--radii", "0.5,2.0")
+    explicit = run_cli(*args, "--nr-quantum", "0", "--kappa", "-1")
+    assert explicit.stdout == run_cli(*args).stdout
+
+
 @pytest.mark.parametrize("args", [
     ("energy", "--nr", "-Z", "inf", "-n", "1"),
     ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "0.5,inf"),
     ("screening", "--rel", "-Z", "1", "--radii", "inf"),
     ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "1.0", "--theta", "nan"),
-    ("energy", "--nr", "-Z", "1", "-n", "1", "--rel-tol", "1"),
 ])
 def test_non_finite_input_exits_2(args):
     proc = run_cli(*args, expect_code=2)
@@ -138,22 +144,9 @@ def test_potential_beyond_binary64_exits_1(args):
     assert proc.stdout == ""
 
 
-def test_two_j_flag_selects_kappa():
-    proc = run_cli(
-        "energy", "--rel", "-Z", "92", "--nr-quantum", "1", "--two-j", "3",
-        "--branch", "-1",
-    )
-    record = json.loads(proc.stdout)
-    assert record["quantum_numbers"]["kappa"] == -2
-    assert record["quantum_numbers"]["two_j"] == 3
-
-
-def test_half_integer_j_must_be_doubled_odd():
-    run_cli(
-        "energy", "--rel", "-Z", "1", "--nr-quantum", "1", "--two-j", "2",
-        "--branch", "1",
-        expect_code=2,
-    )
+def test_energy_rel_reports_doubled_j():
+    proc = run_cli("energy", "--rel", "-Z", "92", "--nr-quantum", "1", "--kappa", "-2")
+    assert json.loads(proc.stdout)["quantum_numbers"]["two_j"] == 3
 
 
 def test_cgs_units_energy():
@@ -204,11 +197,81 @@ def test_verify_fails_when_a_check_is_off(monkeypatch, capsys):
     assert any(line.startswith("FAIL nr-exact:") for line in lines), lines
 
 
-def test_removed_settings_exit_2():
+ENERGY = ("energy", "--nr", "-Z", "1", "-n", "1")
+EXPECTATION = ("expectation", "--nr", "-Z", "1", "-n", "1", "-p", "1")
+SCREENING = ("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "1")
+VERIFY = ("verify", "--suite", "identities", "--budget", "small")
+
+# flags a subcommand does not take: argparse refuses them
+UNKNOWN_FLAGS = [
     # settings are flags only: no settings file, and --budget belongs to verify
-    energy = ("energy", "--nr", "-Z", "1", "-n", "1")
-    run_cli(*energy, "--config", "run.cfg", expect_code=2)
-    run_cli(*energy, "--budget", "small", expect_code=2)
+    (*ENERGY, "--config", "run.cfg"),
+    (*ENERGY, "--budget", "small"),
+    # the oracle tolerance is a constant, not a flag
+    (*ENERGY, "--rel-tol", "1"),
+    (*EXPECTATION, "--rel-tol", "1e-5"),
+    (*SCREENING, "--rel-tol", "1e-5"),
+    (*VERIFY, "--rel-tol", "1e-5"),
+    # verify prints no unit-dependent value
+    (*VERIFY, "--units", "cgs"),
+    # --kappa is the one spelling of the Dirac angular quantum number
+    ("energy", "--rel", "-Z", "1", "--nr-quantum", "1", "--two-j", "3"),
+    ("energy", "--rel", "-Z", "1", "--nr-quantum", "1", "--kappa", "-2",
+     "--branch", "-1"),
+    ("screening", "--rel", "-Z", "1", "--radii", "1", "--two-j", "1"),
+    (*VERIFY, "--branch", "1"),
+]
+# states the command cannot take: the model rule refuses them
+REFUSED_STATES = [
+    # a state flag of the other model
+    ("energy", "--rel", "-Z", "1", "--nr-quantum", "0", "--kappa", "-1", "-m", "3"),
+    ("expectation", "--nr", "-Z", "1", "-n", "1", "-p", "1", "--kappa", "-1"),
+    ("screening", "--rel", "-Z", "1", "-n", "2", "--radii", "1"),
+    # relativistic screening covers 1S only
+    ("screening", "--rel", "-Z", "1", "--nr-quantum", "1", "--kappa", "1",
+     "--radii", "1"),
+]
+
+
+@pytest.mark.parametrize("args, stderr", [
+    *((args, "usage:") for args in UNKNOWN_FLAGS),
+    *((args, "error:") for args in REFUSED_STATES),
+])
+def test_removed_settings_exit_2(args, stderr):
+    proc = run_cli(*args, expect_code=2)
+    assert proc.stderr.startswith(stderr)
+    assert proc.stdout == ""
+
+
+# the option strings of each subcommand, -h left out
+SUBCOMMAND_FLAGS = {
+    "energy": {
+        "--format", "--units", "--nr", "--rel", "-Z", "-n", "-l", "-m",
+        "--nr-quantum", "--kappa",
+    },
+    "expectation": {
+        "--format", "--units", "--nr", "--rel", "-Z", "-n", "-l", "-m",
+        "--nr-quantum", "--kappa", "-p", "--p-min", "--p-max", "--with-oracle",
+    },
+    "screening": {
+        "--format", "--units", "--nr", "--rel", "-Z", "-n", "-l", "-m",
+        "--nr-quantum", "--kappa", "--radii", "--theta", "--with-oracle",
+    },
+    "verify": {"--format", "--suite", "--budget"},
+}
+
+
+def test_each_subcommand_takes_only_its_flags():
+    # a flag added to a shared parent parser fails here instead of being
+    # accepted and ignored by the subcommands that do not read it
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    found = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert found == SUBCOMMAND_FLAGS
 
 
 def test_missing_model_flag_exits_2():
