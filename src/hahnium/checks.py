@@ -1,16 +1,18 @@
 """Self-checks of the closed forms, one function per check.
 
-Each check takes its grid and tolerance as arguments and returns a record
-(a list of records when it gates several properties at once):
+Each check takes its grid as arguments and returns a record (a list of
+records when it gates several properties at once):
 
     {"check": name, "residual": worst residual, "tol": tol,
      "ok": whether the check passed, "cases": comparisons made}
 
-Oracle checks also take the quadrature's rel_tol.  Exact checks count
-the cases that fail, with tol 0.  Rate checks need every error ratio
-under mu halving strictly inside a window; their residual is the worst
-distance outside it.  `hahnium verify` runs the checks on its small and
-full grids, the acceptance tests on the release grids.
+Each tolerance is a constant of its check, carried in the record's tol;
+only the grids vary.  Oracle checks also take the quadrature's rel_tol.
+Exact checks count the cases that fail, with tol 0.  Rate checks need
+every error ratio under mu halving strictly inside a fixed window, named
+in the record's check; their residual is the worst distance outside it.
+`hahnium verify` runs the checks on its small and full grids, the
+acceptance tests on the release grids.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .hydrogen_rel import (
     _SPECIAL_POWERS,
     ALPHA_FS,
     RelState,
+    _converges,
+    _sqrt_frac,
     expect_r_power_rel,
     expect_special_rel,
-    nonrel_limit_suite,
     screening_rel_1s,
-    sommerfeld_remainder,
 )
 from .laguerre_integrals import JSpec, j_integral_exact, linearization_coeffs
 from .oracle import brute_expect_nr, brute_expect_rel, sphere_quad
@@ -77,13 +79,7 @@ def rel_states(charges: Iterable, kappas: Iterable[int], n_r_max: int) -> list:
     ]
 
 
-def _converges(state: RelState, p: int) -> bool:
-    """Whether the Dirac <r^p> is finite: 2 nu + p + 1 > 0."""
-    return 2.0 * state.nu + p + 1.0 > 0.0
-
-
-def nr_oracle(charges: Iterable, n_max: int, p_max: int, rel_tol: float,
-              tol: float = 1e-9) -> dict:
+def nr_oracle(charges: Iterable, n_max: int, p_max: int, rel_tol: float) -> dict:
     """<r^p> closed form against quadrature, relative: every state with
     n <= n_max and every p from -2l-2 to p_max."""
     deviations = []
@@ -96,7 +92,7 @@ def nr_oracle(charges: Iterable, n_max: int, p_max: int, rel_tol: float,
                     want = brute_expect_nr(state, p, rel_tol=rel_tol)
                     deviations.append(abs(got - want) / abs(want))
     name = f"moment closed form vs quadrature (n<={n_max}, p<={p_max})"
-    return _record(name, deviations, tol)
+    return _record(name, deviations, 1e-9)
 
 
 def _textbook_moments_nr(Z, n: int, l: int) -> dict:
@@ -144,15 +140,14 @@ def nr_recurrence(charges: Iterable, n_max: int, k_max: int) -> dict:
     return _exact_record(name, matches)
 
 
-def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: float,
-               tol: float = 1e-9, flagged_tol: float = 1e-7) -> list:
+def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: float) -> list:
     """Dirac <r^p> closed form against quadrature, relative, for every
     convergent p in [p_min, p_max]: worst unflagged deviation, worst one
     where the cancellation flag is raised, and the number of flags."""
     plain, flagged, unflagged = [], [], []
     for state in states:
         for p in range(p_min, p_max + 1):
-            if not _converges(state, p):
+            if not _converges(state.nu, p):
                 continue
             got = expect_r_power_rel(state, p)
             want = brute_expect_rel(state, p, rel_tol=rel_tol)
@@ -161,27 +156,26 @@ def rel_oracle(states: Sequence[RelState], p_min: int, p_max: int, rel_tol: floa
             unflagged.append(not got.cancellation_flag)
     grid = f"{len(states)} states, p in [{p_min},{p_max}]"
     return [
-        _record(f"moment closed form vs quadrature ({grid})", plain, tol),
-        _record(f"flagged moments vs quadrature ({grid})", flagged, flagged_tol),
+        _record(f"moment closed form vs quadrature ({grid})", plain, 1e-9),
+        _record(f"flagged moments vs quadrature ({grid})", flagged, 1e-7),
         _exact_record(f"cancellation flags raised ({grid})", unflagged),
     ]
 
 
-def rel_special(states: Sequence[RelState], tol: float = 1e-11,
-                norm_tol: float = 1e-12) -> list:
+def rel_special(states: Sequence[RelState]) -> list:
     """The six explicit Dirac moments against the general closed form
     (relative), and <r^0> = 1 (absolute)."""
     special, norm = [], []
     for state in states:
         norm.append(abs(expect_r_power_rel(state, 0).value - 1.0))
         for case, p in _SPECIAL_POWERS.items():
-            if _converges(state, p):
+            if _converges(state.nu, p):
                 want = expect_r_power_rel(state, p).value
                 got = expect_special_rel(state, case).value
                 special.append(abs(got - want) / abs(want))
     return [
-        _record("explicit cases vs general closed form", special, tol),
-        _record("normalization <1> = 1", norm, norm_tol),
+        _record("explicit cases vs general closed form", special, 1e-11),
+        _record("normalization <1> = 1", norm, 1e-12),
     ]
 
 
@@ -241,7 +235,7 @@ def cg_square_sums(tj_max: int) -> dict:
     return _exact_record(f"coupling-coefficient orthogonality (2j<={tj_max})", matches)
 
 
-def spinor_normalization(tjs: Iterable[int], tol: float = 1e-12) -> dict:
+def spinor_normalization(tjs: Iterable[int]) -> dict:
     """Each spinor harmonic with 2j in tjs has norm 1 on the sphere."""
     residuals = []
     for tj in tjs:
@@ -253,7 +247,7 @@ def spinor_normalization(tjs: Iterable[int], tol: float = 1e-12) -> dict:
                     return spinor_harmonic(j, m, branch, theta, phi).norm_squared()
 
                 residuals.append(abs(sphere_quad(density, 2 * tj + 2).real - 1.0))
-    return _record("spinor harmonic normalization", residuals, tol)
+    return _record("spinor harmonic normalization", residuals, 1e-12)
 
 
 def _apply_sigma_n(spinor: Spinor2, theta: float, phi: float) -> Spinor2:
@@ -266,7 +260,7 @@ def _apply_sigma_n(spinor: Spinor2, theta: float, phi: float) -> Spinor2:
     )
 
 
-def sigma_flip(tjs: Iterable[int], angles: Sequence[tuple], tol: float = 1e-12) -> dict:
+def sigma_flip(tjs: Iterable[int], angles: Sequence[tuple]) -> dict:
     """(sigma . n) maps each spinor harmonic with 2j in tjs to minus its
     branch partner, pointwise at each (theta, phi) in angles."""
     residuals = []
@@ -280,11 +274,10 @@ def sigma_flip(tjs: Iterable[int], angles: Sequence[tuple], tol: float = 1e-12) 
                     want = spinor_harmonic(j, m, -branch, theta, phi)
                     flip = max(abs(got.up + want.up), abs(got.down + want.down))
                     residuals.append(flip)
-    return _record("sigma.n spinor flip", residuals, tol)
+    return _record("sigma.n spinor flip", residuals, 1e-12)
 
 
-def screening_ground_state(charges: Iterable[float], radii: Sequence[float],
-                           tol: float = 1e-10) -> dict:
+def screening_ground_state(charges: Iterable[float], radii: Sequence[float]) -> dict:
     """General screening closed form against the explicit ground-state
     one, (Z-1)/r + (1/r + Z) e^{-2Zr}, absolute."""
     residuals = [
@@ -293,11 +286,10 @@ def screening_ground_state(charges: Iterable[float], radii: Sequence[float],
         for Z in charges
         for r in radii
     ]
-    return _record("ground-state screening vs explicit form", residuals, tol)
+    return _record("ground-state screening vs explicit form", residuals, 1e-10)
 
 
-def screening_rel_rate(mus: Sequence[float], radii: Sequence[float],
-                       window: tuple = (3.0, 5.0)) -> dict:
+def screening_rel_rate(mus: Sequence[float], radii: Sequence[float]) -> dict:
     """The relativistic 1S potential at Z = 1 meets the nonrelativistic
     one at O(mu^2): the worst deviation over radii shrinks ~4x per mu
     halving."""
@@ -308,11 +300,10 @@ def screening_rel_rate(mus: Sequence[float], radii: Sequence[float],
         for mu in mus
     ]
     ratios = _halving_ratios(deviations)
-    return _rate_record("relativistic -> nonrel screening rate", ratios, window)
+    return _rate_record("relativistic -> nonrel screening rate", ratios, (3.0, 5.0))
 
 
-def coulomb_limits(charges: Iterable[float], r_small: float, r_big: float,
-                   tol: float = 1e-6) -> dict:
+def coulomb_limits(charges: Iterable[float], r_small: float, r_big: float) -> dict:
     """Both ground-state potentials approach the bare charge, r V -> Z,
     at r_small and the net charge, r V -> Z - 1, at r_big."""
     residuals = []
@@ -322,27 +313,44 @@ def coulomb_limits(charges: Iterable[float], r_small: float, r_big: float,
             residuals.append(abs(r_small * potential(r_small) - Z))
             residuals.append(abs(r_big * potential(r_big) - (Z - 1.0)))
     name = f"Coulomb limits r*V -> Z at r={r_small:g}, Z-1 at r={r_big:g}"
-    return _record(name, residuals, tol)
+    return _record(name, residuals, 1e-6)
 
 
-def sommerfeld_rate(n_rs: Iterable[int], kappa: int, mus: Sequence,
-                    window: tuple = (55.0, 73.0)) -> dict:
-    """The remainder of the mu^4 fine-structure series shrinks ~64x per
-    mu halving (mu^6)."""
+def sommerfeld_rate(n_rs: Iterable[int], kappa: int, mus: Sequence) -> dict:
+    """The remainder of the fine-structure series of the Z = 1 level,
+    1 - mu^2/2n^2 - (n/|kappa| - 3/4) mu^4/2n^4 with n = n_r + |kappa|,
+    shrinks ~64x per mu halving (mu^6).
+
+    The remainder, around 1e-18 for mu ~ 1e-3, sits far below binary64
+    resolution near epsilon = 1, so epsilon is built in rational
+    arithmetic (60-digit square roots) before subtracting.
+    """
     ratios = []
     for n_r in n_rs:
-        remainders = [abs(sommerfeld_remainder(n_r, kappa, mu)) for mu in mus]
+        n = n_r + abs(kappa)
+        remainders = []
+        for mu in map(Fraction, mus):
+            n_eff = n_r + _sqrt_frac(kappa * kappa - mu * mu)
+            eps = n_eff / _sqrt_frac(n_eff * n_eff + mu * mu)
+            series = (1 - mu**2 / (2 * n**2)
+                      - (Fraction(n, abs(kappa)) - Fraction(3, 4)) * mu**4 / (2 * n**4))
+            remainders.append(abs(float(eps - series)))
         ratios += _halving_ratios(remainders)
-    return _rate_record(f"level series mu^6 rate kappa={kappa}", ratios, window)
+    return _rate_record(f"level series mu^6 rate kappa={kappa}", ratios, (55.0, 73.0))
 
 
-def moment_nr_limit(pairs: Iterable[tuple], mus: Sequence[float], radius: float,
-                    window: tuple = (3.0, 5.0)) -> dict:
-    """|<r^p>_rel - <r^p>_nr| shrinks ~4x per mu halving (mu^2) for every
-    (n_r, kappa) in pairs and every power nonrel_limit_suite reports."""
+def moment_nr_limit(pairs: Iterable[tuple], mus: Sequence[float]) -> dict:
+    """|<r^p>_rel - <r^p>_nr| in Bohr units at Z = 1 shrinks ~4x per mu
+    halving (mu^2) for every (n_r, kappa) in pairs and p in {-1, 1, 2}."""
     ratios = []
     for n_r, kappa in pairs:
-        report = nonrel_limit_suite(n_r, kappa, mus, radius=radius)
-        for per_power in report["moment_ratios"].values():
-            ratios += per_power
-    return _rate_record("moment mu^2 rate", ratios, window)
+        nr_state = NrState(1.0, n_r + abs(kappa), kappa if kappa > 0 else -kappa - 1)
+        for p in (-1, 1, 2):
+            want = expect_r_power_nr(nr_state, p).value
+            errors = [
+                abs(expect_r_power_rel(RelState(1.0, n_r, kappa, alpha_fs=mu), p).value
+                    * mu**p - want)
+                for mu in mus
+            ]
+            ratios += _halving_ratios(errors)
+    return _rate_record("moment mu^2 rate", ratios, (3.0, 5.0))

@@ -406,7 +406,7 @@ _SUITES = {
         checks.screening_rel_rate((4e-2, 2e-2, 1e-2), (1.0,)),
         checks.coulomb_limits((2.0,), 1e-8, 40.0)],
     "limits": lambda small: [
-        checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3), 2.5),
+        checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3)),
         checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])],
 }
 

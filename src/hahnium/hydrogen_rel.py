@@ -2,8 +2,7 @@
 
 Sommerfeld energy levels, two-component radial functions, closed-form
 radial moments <r^p> as one bracket of three Hahn polynomials of a
-discrete variable, explicit special cases, the screened 1S potential,
-and the nonrelativistic limit machinery.
+discrete variable, explicit special cases and the screened 1S potential.
 
 Radial quantities use the reduced Compton length hbar/mc as the length
 unit (the scale factor beta = mc/hbar is then 1), so xi = 2*a*r stays
@@ -37,13 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import HalfInt
-from .hydrogen_nr import (
-    Expectation,
-    NrState,
-    _finite_potential,
-    expect_r_power_nr,
-    radial_nr,
-)
+from .hydrogen_nr import Expectation, _finite_potential
 from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
 from .specfun import gamma_ratio, inc_gamma_upper, pochhammer
 
@@ -52,13 +45,10 @@ __all__ = [
     "RelState",
     "RadialPair",
     "energy_rel",
-    "fine_structure_expansion",
     "radial_rel",
     "expect_r_power_rel",
     "expect_special_rel",
     "expect_hahn_form_rel",
-    "sommerfeld_remainder",
-    "nonrel_limit_suite",
     "screening_rel_1s",
 ]
 
@@ -133,17 +123,6 @@ def energy_rel(state: RelState) -> float:
     return state.epsilon
 
 
-def fine_structure_expansion(state: RelState):
-    """Coefficients (c0, c2, c4) of epsilon = c0 + c2 mu^2 + c4 mu^4 + O(mu^6).
-
-    Exact rationals; n = n_r + |kappa| plays the principal quantum number.
-    """
-    n = state.n_r + abs(state.kappa)
-    c2 = -Fraction(1, 2 * n**2)
-    c4 = -(Fraction(n, abs(state.kappa)) - Fraction(3, 4)) / (2 * n**4)
-    return Fraction(1), c2, c4
-
-
 def _eps_kappa_pm(n: int, kappa: int, eps: float, nu: float, a: float):
     """(eps*kappa + nu, eps*kappa - nu) with the small member rebuilt
     from the eigenvalue identity (eps k - nu)(eps k + nu) = a^2 n (2nu+n),
@@ -190,8 +169,13 @@ def radial_rel(state: RelState, r):
     )
 
 
+def _converges(nu: float, p: int) -> bool:
+    """Whether the Dirac <r^p> is finite: 2 nu + p + 1 > 0."""
+    return 2.0 * nu + p + 1.0 > 0.0
+
+
 def _check_admissible(nu: float, p: int) -> None:
-    if not 2.0 * nu + p + 1.0 > 0.0:
+    if not _converges(nu, p):
         raise ValueError(
             f"p={p} violates 2*nu+p+1 > 0 (nu={nu:.6f}): integral diverges"
         )
@@ -229,9 +213,9 @@ def _bracket_factors(n: int, p: int, nu):
     return g1, g2, g3
 
 
-def _sqrt_frac(x: Fraction, digits: int = 60) -> Fraction:
-    """Rational approximation of sqrt(x) good to ~digits decimals."""
-    scale = 10**digits
+def _sqrt_frac(x: Fraction) -> Fraction:
+    """Rational approximation of sqrt(x) good to ~60 decimals."""
+    scale = 10**60
     root = math.isqrt(x.numerator * x.denominator * scale * scale)
     return Fraction(root, x.denominator * scale)
 
@@ -367,72 +351,6 @@ def expect_hahn_form_rel(state: RelState, p: int, which: str = "positive") -> Ex
     if which != "negative":
         raise ValueError("which must be 'positive' or 'negative'")
     return expect_r_power_rel(state, -(p + 3))
-
-
-def sommerfeld_remainder(n_r: int, kappa: int, mu) -> float:
-    """epsilon(mu) minus its mu^4 fine-structure series, for Z = 1.
-
-    The remainder is O(mu^6), around 1e-18 for mu ~ 1e-3, far below
-    binary64 resolution near epsilon = 1, so both sides are built in
-    rational arithmetic (60-digit square roots) before subtracting.
-    """
-    mu_f = Fraction(mu)
-    state = RelState(1.0, n_r, kappa, alpha_fs=float(mu_f))
-    c0, c2, c4 = fine_structure_expansion(state)
-    nu = _sqrt_frac(kappa * kappa - mu_f * mu_f)
-    n_eff = n_r + nu
-    eps = n_eff / _sqrt_frac(n_eff * n_eff + mu_f * mu_f)
-    return float(eps - (c0 + c2 * mu_f**2 + c4 * mu_f**4))
-
-
-def nonrel_limit_suite(
-    n_r: int,
-    kappa: int,
-    mu_values,
-    p_values=(-1, 1, 2),
-    radius: float = 2.0,
-) -> dict:
-    """Convergence report of the Dirac problem onto the Schroedinger one.
-
-    For each mu in mu_values (decreasing, e.g. halving) builds the Z=1
-    state with alpha = mu and collects: absolute moment errors
-    |<r^p>_rel - <r^p>_nr| in Bohr units, their successive ratios
-    (O(mu^2) signature: ratio ~ 4 per halving), the coefficient
-    (nu - |kappa|)/mu^2 (limit -1/(2|kappa|)), and the pointwise radial
-    limit F -> sign(kappa) R_nl, G -> 0 at the given Bohr radius.
-    """
-    n = n_r + abs(kappa)
-    l = kappa if kappa > 0 else -kappa - 1
-    nr_state = NrState(1.0, n, l)
-    moment_errors: dict = {p: [] for p in p_values}
-    nu_gap = []
-    radial_f_err = []
-    radial_g_over_f = []
-    sign = 1.0 if kappa > 0 else -1.0
-    r_nr = radial_nr(nr_state, radius)
-    for mu in mu_values:
-        rel_state = RelState(1.0, n_r, kappa, alpha_fs=mu)
-        for p in p_values:
-            rel_bohr = expect_r_power_rel(rel_state, p).value * mu**p
-            nr_val = expect_r_power_nr(nr_state, p).value
-            moment_errors[p].append(abs(rel_bohr - nr_val))
-        nu_gap.append((rel_state.nu - abs(kappa)) / mu**2)
-        pair = radial_rel(rel_state, radius / mu)
-        f_bohr = pair.F * mu**-1.5
-        g_bohr = pair.G * mu**-1.5
-        radial_f_err.append(abs(f_bohr - sign * r_nr))
-        radial_g_over_f.append(abs(g_bohr / f_bohr))
-    moment_ratios = {
-        p: [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-        for p, errs in moment_errors.items()
-    }
-    return {
-        "moment_errors": moment_errors,
-        "moment_ratios": moment_ratios,
-        "nu_gap": nu_gap,
-        "radial_f_err": radial_f_err,
-        "radial_g_over_f": radial_g_over_f,
-    }
 
 
 def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:

@@ -109,17 +109,22 @@ def quad_semi_infinite(
       for sigma < 0, which absorbs x^sigma; else m = ceil(4/(sigma+1)),
       which leaves t^(m*(sigma+1)-1), flat to third order at t = 0.
     * tail, x = x1 - s*log(1-t), s = max(16, reach/36, q/4)/d with
-      reach = 74 + 1.5*q: exp(-d*x) becomes (1-t)^(s*d), at least
+      reach = 74 + 3*q: exp(-d*x) becomes (1-t)^(s*d), at least
       (1-t)^16, which flattens the powers of log(1-t) at t = 1.  The
       q/4 term (it only acts for q > 64) keeps the peak of x^q e^(-d*x)
       at d*x ~ q near 1-t ~ e^(-4) instead of squeezing it against
       t = 1, where refinement would starve for q in the hundreds.
 
     Tail nodes beyond x_max = x1 + reach/d contribute 0 and never reach
-    the integrand: the exp(-d*x) x^q mass there is below 1e-20 of the
-    total (and t < 1 - eps caps the map at x1 + 36*s >= x_max anyway).
-    Understating q silently biases the result at the 1e-6..1e-8 level
-    long before any error estimate notices.  Endpoints are never
+    the integrand (t < 1 - eps caps the map at x1 + 36*s >= x_max
+    anyway).  x^q e^(-d*x) alone would need a reach of about 1.5q; a
+    squared polynomial of degree q needs 3q, because its roots, and so
+    its mass, extend out to the classical turning point: a bound-state
+    density L^2 x^k e^(-d*x) reaches d*x ~ 2q.  For the nonrelativistic
+    densities with n <= 150 and every l, the integrand at x_max is below
+    e^-69 of its peak; with a reach of 1.5q it was up to e^-0.6.
+    Understating q silently biases the result, since mass that is never
+    sampled cannot show in the error estimate.  Endpoints are never
     evaluated.
 
     Refinement runs in rounds over one shared panel list, as in
@@ -153,7 +158,7 @@ def quad_semi_infinite(
     else:
         head_power = float(math.ceil(4.0 / (sigma + 1.0)))
     degree = max(float(polynomial_degree), 0.0)
-    reach = 74.0 + 1.5 * degree
+    reach = 74.0 + 3.0 * degree
     stretch = max(16.0, reach / 36.0, degree / 4.0) / decay_rate
     x_max = x1 + reach / decay_rate
 
@@ -233,11 +238,18 @@ def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
     """Unnormalized nonrelativistic moment integral over the density shape."""
     scale = 2.0 * z / n
     spec = LaguerreSpec(n - l - 1, 2 * l + 1)
+    peak = 2 * l
 
     def integrand(r: np.ndarray) -> np.ndarray:
         eta = scale * r
         shape = laguerre(spec, eta)
-        return np.exp(-eta) * np.power(eta, 2 * l) * shape * shape * np.power(r, p + 2.0)
+        # eta^(2l) e^(-eta) over its peak value, in log space: the plain
+        # product overflows (eta^(2l)) or underflows (e^(-eta)) at large n
+        if peak:
+            weight = np.exp(peak * np.log(eta / peak) - (eta - peak))
+        else:
+            weight = np.exp(-eta)
+        return weight * shape * shape * np.power(r, p + 2.0)
 
     return quad_semi_infinite(
         integrand, 2 * l + p + 2, scale, rel_tol, polynomial_degree=2 * n + p,
@@ -287,14 +299,12 @@ def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> floa
         xi = 2.0 * a * r
         high = laguerre(spec_high, xi)
         low = 0.0 if spec_low is None else laguerre(spec_low, xi)
-        f = f_low * low + f_high * high
-        g = g_low * low + g_high * high
-        return (
-            np.power(xi, 2.0 * nu - 2.0)
-            * np.exp(-xi)
-            * (f * f + g * g)
-            * np.power(r, p + 2.0)
-        )
+        # the envelope xi^(nu-1) e^(-xi/2) goes on each component before
+        # squaring, so that neither the square nor e^(-xi) leaves range
+        envelope = np.power(xi, nu - 1.0) * np.exp(-xi / 2.0)
+        f = (f_low * low + f_high * high) * envelope
+        g = (g_low * low + g_high * high) * envelope
+        return (f * f + g * g) * np.power(r, p + 2.0)
 
     return quad_semi_infinite(
         integrand, 2.0 * nu + p, 2.0 * a, rel_tol,

@@ -1,6 +1,8 @@
 """Top-level acceptance gate: one test per release criterion.
 
-Each test pins its tolerance and, where stated, its runtime budget.
+Each test pins its tolerance and, where stated, its runtime budget; a
+check of `hahnium.checks` carries its tolerance in its record's tol (a
+rate check its window in the record's name), which the test asserts.
 Everything here is end-to-end: closed forms against independent
 quadrature oracles, exact rational identities at zero residual, limit
 scalings with their expected rates, and byte-frozen CLI behavior.
@@ -57,9 +59,10 @@ def test_criterion_01_nr_closed_forms_match_quadrature():
     # every state with n <= 10, every admissible power up to r^6,
     # against the brute-force oracle; relative 1e-9, under 30 s
     start = time.perf_counter()
-    result = checks.nr_oracle((1.0, 10.0), 10, 6, 1e-12, tol=1e-9)
+    result = checks.nr_oracle((1.0, 10.0), 10, 6, 1e-12)
     elapsed = time.perf_counter() - start
     assert result["cases"] == 1650
+    assert result["tol"] == 1e-9
     _assert_ok(result)
     assert elapsed < 30.0, f"sweep took {elapsed:.1f}s"
 
@@ -85,15 +88,14 @@ def test_criterion_03_rel_closed_forms_match_quadrature():
     # plus -3 where convergent; relative 1e-9 (1e-7 where the
     # cancellation flag is raised, count reported), under 2 min
     start = time.perf_counter()
-    plain, flagged, flags = checks.rel_oracle(
-        _rel_grid(), -3, 4, 1e-12, tol=1e-9, flagged_tol=1e-7
-    )
+    plain, flagged, flags = checks.rel_oracle(_rel_grid(), -3, 4, 1e-12)
     elapsed = time.perf_counter() - start
     print(
         f"relativistic sweep: {flags['cases']} cases, "
         f"{flags['residual']:.0f} cancellation flags"
     )
     assert flags["cases"] == 897
+    assert (plain["tol"], flagged["tol"]) == (1e-9, 1e-7)
     _assert_ok(plain, flagged)
     assert flags["residual"] == 0.0, f"{flags['residual']:.0f} cancellation flags raised"
     assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
@@ -102,7 +104,8 @@ def test_criterion_03_rel_closed_forms_match_quadrature():
 def test_criterion_04_special_cases_equal_general_form():
     # the six explicit closed forms against the general Hahn one on the
     # full relativistic grid, relative 1e-11; <r^0> = 1 to 1e-12 everywhere
-    special, norm = checks.rel_special(_rel_grid(), tol=1e-11, norm_tol=1e-12)
+    special, norm = checks.rel_special(_rel_grid())
+    assert (special["tol"], norm["tol"]) == (1e-11, 1e-12)
     _assert_ok(special, norm)
     assert special["cases"] > 600
 
@@ -112,10 +115,9 @@ def test_criterion_05_energy_series_truncation_scales_mu_sixth():
     # ratio strictly inside (55, 73) (64 would be exact mu^6); computed
     # in rational arithmetic because the remainder sits below binary64
     # resolution near epsilon = 1
-    result = checks.sommerfeld_rate(
-        (0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)], window=(55.0, 73.0)
-    )
+    result = checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])
     assert result["cases"] == 6
+    assert " in (55,73), " in result["check"]
     _assert_ok(result)
 
 
@@ -123,8 +125,9 @@ def test_criterion_06_moments_approach_nr_limit_at_mu_squared():
     # |<r^p>_rel - <r^p>_nr| must shrink ~4x per mu halving for both
     # kappa branches of every n <= 3 state
     pairs = [(0, -1), (1, -1), (2, -1), (1, 1), (2, 1), (0, -2), (1, -2), (1, 2), (0, -3)]
-    result = checks.moment_nr_limit(pairs, (0.04, 0.02, 0.01), 2.5, window=(3.0, 5.0))
+    result = checks.moment_nr_limit(pairs, (0.04, 0.02, 0.01))
     assert result["cases"] == 54
+    assert " in (3,5), " in result["check"]
     _assert_ok(result)
 
 
@@ -275,21 +278,25 @@ def test_criterion_08_angular_suite():
             got = sphere_quad(f, 8)
             want = 1.0 if (ja, ma, ba) == (jb, mb, bb) else 0.0
             assert abs(got - want) <= 1e-12, (ja, ma, ba, jb, mb, bb)
-    flip = checks.sigma_flip((1, 3, 5), list(itertools.product(thetas, phis)), tol=1e-12)
+    flip = checks.sigma_flip((1, 3, 5), list(itertools.product(thetas, phis)))
     assert flip["cases"] == 216
+    assert flip["tol"] == 1e-12
     _assert_ok(flip)
 
 
 def test_criterion_09_screening_forms_and_limits():
     # general closed form vs the explicit ground-state one, absolute 1e-10
-    ground = checks.screening_ground_state((1.0, 2.0), (0.1, 0.5, 2.0, 10.0), tol=1e-10)
+    ground = checks.screening_ground_state((1.0, 2.0), (0.1, 0.5, 2.0, 10.0))
+    assert ground["tol"] == 1e-10
 
     # relativistic 1S potential collapses onto the nonrelativistic one
     # at O(mu^2): deviation ratio ~4 per mu halving
-    rate = checks.screening_rel_rate((0.04, 0.02, 0.01), (0.2, 1.0, 3.0), window=(3.0, 5.0))
+    rate = checks.screening_rel_rate((0.04, 0.02, 0.01), (0.2, 1.0, 3.0))
+    assert " in (3,5), " in rate["check"]
 
     # Coulomb limits: bare charge at the origin, net charge far out
-    limits = checks.coulomb_limits((1.0,), 1e-8, 50.0, tol=1e-6)
+    limits = checks.coulomb_limits((1.0,), 1e-8, 50.0)
+    assert limits["tol"] == 1e-6
     _assert_ok(ground, rate, limits)
 
     # every state with n <= 10, m = 0..l, against quadrature multipole by

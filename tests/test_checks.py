@@ -7,6 +7,7 @@ nonzero residual.
 """
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -81,3 +82,18 @@ def test_rate_window_is_open_and_nan_fails():
     outside = checks._rate_record("rate", [4.0, 5.5], (3.0, 5.0))
     assert not outside["ok"] and outside["residual"] == 0.5
     assert not checks._record("nan", [0.0, float("nan"), 1.0], 1e-9)["ok"]
+
+
+def test_checks_take_no_tolerance():
+    # each tolerance is a constant carried in the record's tol; only the
+    # oracle checks' quadrature rel_tol is an argument
+    public = [
+        fn for name, fn in vars(checks).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == checks.__name__
+    ]
+    assert len(public) > 10
+    for fn in public:
+        for name in inspect.signature(fn).parameters:
+            knob = name in ("tol", "window") or name.endswith("_tol")
+            assert name == "rel_tol" or not knob, (fn.__name__, name)

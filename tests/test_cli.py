@@ -100,6 +100,17 @@ def test_expectation_with_oracle_column():
     assert record["oracle"] == pytest.approx(record["value"], rel=1e-9)
 
 
+@pytest.mark.parametrize("args", [
+    ("expectation", "--nr", "-Z", "1", "-n", "70", "-l", "0", "-p", "2"),
+    ("screening", "--nr", "-Z", "1", "-n", "40", "--radii", "1,100"),
+])
+def test_oracle_column_right_at_large_n(args):
+    # the quadrature must cover the density out to its turning point
+    proc = run_cli(*args, "--with-oracle")
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert rows and all(row["rel_diff"] <= 1e-9 for row in rows), rows
+
+
 def test_screening_far_field_keeps_net_charge():
     proc = run_cli("screening", "--nr", "-Z", "1", "-n", "1", "--radii", "50")
     record = json.loads(proc.stdout)

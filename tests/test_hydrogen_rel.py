@@ -1,7 +1,6 @@
 """Dirac-Coulomb bound states: energies, radial functions and moments."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -14,12 +13,10 @@ from hahnium.hydrogen_rel import (
     expect_hahn_form_rel,
     expect_r_power_rel,
     expect_special_rel,
-    fine_structure_expansion,
-    nonrel_limit_suite,
     radial_rel,
     screening_rel_1s,
 )
-from hahnium.hydrogen_nr import NrState, screening_nr
+from hahnium.hydrogen_nr import NrState, radial_nr, screening_nr
 from hahnium.oracle import brute_expect_rel, quad_semi_infinite
 from hahnium.orthopoly import LaguerreSpec, laguerre
 
@@ -57,15 +54,14 @@ def test_ground_state_energy():
 
 
 def test_fine_structure_coefficients():
-    c0, c2, c4 = fine_structure_expansion(RelState(1.0, 0, -1))
-    assert (c0, c2, c4) == (1, Fraction(-1, 2), Fraction(-1, 8))
-    state = RelState(1.0, 1, 1)  # n = 2, j = 1/2
-    c0, c2, c4 = fine_structure_expansion(state)
-    assert (c0, c2) == (1, Fraction(-1, 8))
-    assert c4 == -(Fraction(2) - Fraction(3, 4)) / 32
-    mu = state.mu
-    series = float(c0) + float(c2) * mu**2 + float(c4) * mu**4
-    assert abs(series - energy_rel(state)) < 10.0 * mu**6
+    # epsilon = 1 - mu^2/2n^2 - (n/|kappa| - 3/4) mu^4/2n^4 + O(mu^6)
+    # with n = n_r + |kappa|
+    for Z in (1.0, 10.0):
+        for n_r, kappa in ((0, -1), (1, 1), (1, -1), (2, -2), (1, 3)):
+            state = RelState(Z, n_r, kappa)
+            n, mu = n_r + abs(kappa), state.mu
+            series = 1.0 - mu**2 / (2 * n**2) - (n / abs(kappa) - 0.75) * mu**4 / (2 * n**4)
+            assert abs(series - energy_rel(state)) < 10.0 * mu**6, (Z, n_r, kappa)
 
 
 def test_radial_normalization():
@@ -161,16 +157,20 @@ def test_moment_domain_guard():
 
 
 def test_nonrelativistic_limit():
-    # moments, energies and radial shapes approach the Schroedinger case
-    # as mu -> 0 with an O(mu^2) error signature
+    # as mu -> 0, (nu - |kappa|)/mu^2 -> -1/2|kappa| and, at 2.5 Bohr,
+    # F -> sign(kappa) R_nl with an O(mu^2) error signature and G/F -> 0;
+    # criterion 06 holds the moments to the same mu^2 rate
+    radius = 2.5
     for kappa in (-1, 1, -2, 2):
-        report = nonrel_limit_suite(1, kappa, [4e-3, 2e-3, 1e-3], radius=2.5)
-        for p, ratios in report["moment_ratios"].items():
-            for ratio in ratios:
-                assert 3.0 < ratio < 5.0, (kappa, p, ratios)
-        assert abs(report["nu_gap"][-1] + 1.0 / (2 * abs(kappa))) < 1e-4
-        assert report["radial_g_over_f"][-1] < 2e-3
-        f_errs = report["radial_f_err"]
+        nr_state = NrState(1.0, 1 + abs(kappa), kappa if kappa > 0 else -kappa - 1)
+        want = (1.0 if kappa > 0 else -1.0) * radial_nr(nr_state, radius)
+        f_errs = []
+        for mu in (4e-3, 2e-3, 1e-3):
+            state = RelState(1.0, 1, kappa, alpha_fs=mu)
+            pair = radial_rel(state, radius / mu)
+            f_errs.append(abs(pair.F * mu**-1.5 - want))
+        assert abs((state.nu - abs(kappa)) / mu**2 + 1.0 / (2 * abs(kappa))) < 1e-4
+        assert abs(pair.G / pair.F) < 2e-3
         assert f_errs[0] / f_errs[1] > 3.0 and f_errs[1] / f_errs[2] > 3.0
 
 

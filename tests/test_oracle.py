@@ -8,7 +8,7 @@ import pytest
 
 import hahnium.oracle as oracle
 from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
-from hahnium.hydrogen_rel import RelState, expect_r_power_rel
+from hahnium.hydrogen_rel import RelState, expect_r_power_rel, expect_special_rel
 from hahnium.oracle import (
     DEFAULT_BUDGET,
     G_WEIGHTS,
@@ -87,7 +87,7 @@ def test_tail_stops_at_reach():
             return np.exp(degree * np.log(y) - y - math.lgamma(degree + 1.0))
 
         quad_semi_infinite(integrand, degree, decay, 1e-12, polynomial_degree=degree)
-        x_max = (1.0 + 74.0 + 1.5 * degree) / decay
+        x_max = (1.0 + 74.0 + 3.0 * degree) / decay
         assert max(seen) <= x_max * (1.0 + 1e-15), degree
         seen.clear()
 
@@ -187,6 +187,41 @@ def test_brute_expect_rel_near_critical_charge():
                     want = expect_r_power_rel(state, p).value
                     got = brute_expect_rel(state, p)
                     assert abs(got - want) <= 1e-9 * abs(want), (z, kappa, n_r, p)
+
+
+def _right_or_refuses(brute, state, p, want):
+    try:
+        got = brute(state, p)
+    except QuadratureError:
+        return True
+    return abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_brute_expect_right_or_refuses_through_n_150():
+    # a squared Laguerre density reaches its turning point, d*x ~ 4n,
+    # and eta^(2l) or the squared components leave binary64 at large n:
+    # every case agrees to 1e-10 or raises, a wrong value fails
+    wrong = []
+    for n in (30, 60, 100, 150):
+        for l in sorted({0, n // 2, n - 1}):
+            state = NrState(1.0, n, l)
+            for p in (-2, -1, 1, 2, 4):
+                want = expect_r_power_nr(state, p).value
+                if not _right_or_refuses(brute_expect_nr, state, p, want):
+                    wrong.append((state, p))
+    explicit = {-2: "rm2", -1: "rm1", 1: "r1", 2: "r2"}
+    for n_r in (30, 60, 100, 150):
+        for kappa in (-1, 2, -5):
+            for z in (1.0, 92.0):
+                state = RelState(z, n_r, kappa)
+                for p in (-2, -1, 1, 2, 4):
+                    if p in explicit:
+                        want = expect_special_rel(state, explicit[p]).value
+                    else:
+                        want = expect_r_power_rel(state, p).value
+                    if not _right_or_refuses(brute_expect_rel, state, p, want):
+                        wrong.append((state, p))
+    assert not wrong, wrong
 
 
 def test_oracle_work_per_integral(monkeypatch):
