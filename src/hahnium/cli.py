@@ -26,6 +26,11 @@ suites hold no checks of their own: each runs functions of
 `hahnium.checks` on a small or a full grid (--budget).  The acceptance
 tests run the same functions on the release grids, which are the larger
 ones.
+
+energy, expectation and screening load only the closed-form modules.
+Only verify and --with-oracle load `hahnium.oracle`, `hahnium.checks`
+and numpy, which would otherwise take about half the wall time of a
+one-shot call.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import checks
-from .hydrogen_nr import NrState, energy_nr, expect_r_power_nr, radial_nr, screening_nr
+from .hydrogen_nr import NrState, energy_nr, expect_r_power_nr, screening_nr
 from .hydrogen_rel import (
     ALPHA_FS,
     RelState,
@@ -47,7 +51,6 @@ from .hydrogen_rel import (
     radial_rel,
     screening_rel_1s,
 )
-from .oracle import brute_expect_nr, brute_expect_rel, brute_screening
 
 SCHEMA_VERSION = 1
 
@@ -234,11 +237,13 @@ def cmd_expectation(args: argparse.Namespace) -> int:
     if isinstance(state, NrState):
         native = "bohr_radius"
         compute: Callable = expect_r_power_nr
-        oracle: Callable = brute_expect_nr
     else:
         native = "compton_reduced"
         compute = expect_r_power_rel
-        oracle = brute_expect_rel
+    if args.with_oracle:
+        from .oracle import brute_expect_nr, brute_expect_rel
+
+        oracle = brute_expect_nr if isinstance(state, NrState) else brute_expect_rel
     factor = _LENGTH_FACTOR[native][args.units]
     label = _LENGTH_LABEL[args.units]
     rows = []
@@ -296,18 +301,10 @@ def cmd_screening(args: argparse.Namespace) -> int:
             return screening_nr(state, r, theta)
 
         if args.with_oracle:
-            if state.l != 0:
-                raise ValueError(
-                    "--with-oracle screening needs a spherical state (l = 0)"
-                )
-            density = lambda s: radial_nr(state, s) ** 2
-            scale = 2.0 * state.Z / state.n
+            from .oracle import brute_screening_nr
 
             def oracle_fn(r: float) -> float:
-                return brute_screening(
-                    density, state.Z, r, 0.0, scale, ORACLE_REL_TOL,
-                    polynomial_degree=2.0 * (state.n - state.l - 1),
-                )
+                return brute_screening_nr(state, r, theta, ORACLE_REL_TOL)
 
     else:
         if (state.n_r, state.kappa) != (0, -1):
@@ -322,6 +319,8 @@ def cmd_screening(args: argparse.Namespace) -> int:
             return screening_rel_1s(state.Z, r)
 
         if args.with_oracle:
+            from .oracle import brute_screening
+
             pair_density = lambda s: (
                 lambda pair: pair.F**2 + pair.G**2
             )(radial_rel(state, s))
@@ -376,36 +375,37 @@ def cmd_screening(args: argparse.Namespace) -> int:
 _FLIP_ANGLES = ((0.4, 0.3), (1.1, 2.0), (2.4, 4.9))
 
 
-def _rel_grid(small: bool, n_r_max: int) -> list:
+def _rel_grid(checks, small: bool, n_r_max: int) -> list:
     kappas = (-2, -1, 1) if small else (-3, -2, -1, 1, 2, 3)
     return checks.rel_states((1.0, 92.0), kappas, n_r_max)
 
 
-# Each suite maps "small grid?" to its check records; the acceptance tests
-# run the same checks on larger grids.
+# Each suite maps the `checks` module and "small grid?" to its check
+# records; the acceptance tests run the same checks on larger grids.
+# cmd_verify imports `checks`, so the names here cost no import.
 _SUITES = {
-    "nr-oracle": lambda small: [
+    "nr-oracle": lambda checks, small: [
         checks.nr_oracle((1.0, 10.0), 3 if small else 6, 4, VERIFY_ORACLE_REL_TOL)],
-    "nr-exact": lambda small: [
+    "nr-exact": lambda checks, small: [
         checks.nr_exact((Fraction(1),), 4 if small else 8),
         checks.nr_recurrence((Fraction(1),), 4 if small else 8, 8)],
-    "rel-oracle": lambda small: checks.rel_oracle(
-        _rel_grid(small, 2 if small else 4), -2, 3, VERIFY_ORACLE_REL_TOL),
-    "rel-special-cases": lambda small: checks.rel_special(
-        _rel_grid(small, 2)),
-    "identities": lambda small: [
+    "rel-oracle": lambda checks, small: checks.rel_oracle(
+        _rel_grid(checks, small, 2 if small else 4), -2, 3, VERIFY_ORACLE_REL_TOL),
+    "rel-special-cases": lambda checks, small: checks.rel_special(
+        _rel_grid(checks, small, 2)),
+    "identities": lambda checks, small: [
         checks.linearization(3 if small else 5, (Fraction(0), Fraction(2), Fraction(5)),
                              (Fraction(3, 7), Fraction(5, 2))),
         checks.j_orthogonality(3 if small else 5)],
-    "angular": lambda small: [
+    "angular": lambda checks, small: [
         checks.cg_square_sums(3 if small else 5),
         checks.spinor_normalization((1, 3)),
         checks.sigma_flip(range(1, 4 if small else 6, 2), _FLIP_ANGLES)],
-    "screening": lambda small: [
+    "screening": lambda checks, small: [
         checks.screening_ground_state((1.0, 2.0), (0.1, 1.0, 5.0, 20.0)),
         checks.screening_rel_rate((4e-2, 2e-2, 1e-2), (1.0,)),
         checks.coulomb_limits((2.0,), 1e-8, 40.0)],
-    "limits": lambda small: [
+    "limits": lambda checks, small: [
         checks.moment_nr_limit(((1, -1), (1, 1)), (4e-3, 2e-3)),
         checks.sommerfeld_rate((0, 1, 2), -1, [Fraction(m, 1000) for m in (4, 2, 1)])],
 }
@@ -414,17 +414,13 @@ _VERIFY_KEYS = ("check", "residual", "tol", "ok")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     names = sorted(_SUITES) if args.suite == "all" else [args.suite]
-    unknown = [name for name in names if name not in _SUITES]
-    if unknown:
-        raise ValueError(
-            f"unknown suite {unknown[0]!r}; choose from "
-            f"{', '.join(sorted(_SUITES))}, all"
-        )
     small = args.budget == "small"
     all_ok = True
     for name in names:
-        for result in _SUITES[name](small):
+        for result in _SUITES[name](checks, small):
             all_ok &= result["ok"]
             if args.format == "json":
                 _emit_json(
@@ -519,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     screening.add_argument(
         "--with-oracle", action="store_true",
-        help="append a quadrature column and relative difference (--nr: l = 0)",
+        help="append a quadrature column and relative difference",
     )
     screening.set_defaults(func=cmd_screening)
 
@@ -527,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[output], help="run a self-check suite"
     )
     verify.add_argument(
-        "--suite", required=True,
-        help=f"one of {', '.join(sorted(_SUITES))}, all",
+        "--suite", required=True, choices=(*sorted(_SUITES), "all"),
+        help="the suite to run, or all of them",
     )
     verify.add_argument(
         "--budget", choices=("small", "full"), default="full",

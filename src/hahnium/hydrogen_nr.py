@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .angular import clebsch_gordan
 from .orthopoly import HahnParams, LaguerreSpec, _hahn_split, laguerre, legendre
 from .specfun import _field
@@ -29,7 +27,6 @@ __all__ = [
     "NrState",
     "Expectation",
     "energy_nr",
-    "radial_nr",
     "expect_r_power_nr",
     "expect_recurrence_nr",
     "inversion_check_nr",
@@ -84,6 +81,20 @@ def energy_nr(state: NrState) -> Real:
     return -(z**2) / (2 * state.n**2)
 
 
+def _exp(x):
+    """e^x elementwise: math.exp on a float, numpy's exp on an array.
+
+    The radial functions form x from a float, so a scalar radius (int,
+    float, Fraction or numpy float64, a float subclass) takes math.exp;
+    numpy is imported only when a caller passes an array.
+    """
+    if isinstance(x, float):
+        return math.exp(x)
+    import numpy as np
+
+    return np.exp(x)
+
+
 def radial_nr(state: NrState, r):
     """Radial function R_nl(r), r in Bohr radii, value in a0^(-3/2).
 
@@ -98,9 +109,8 @@ def radial_nr(state: NrState, r):
         * z**1.5
         * math.sqrt(math.factorial(n - l - 1) / math.factorial(n + l))
     )
-    exp = np.exp if isinstance(eta, np.ndarray) else math.exp
     poly = laguerre(LaguerreSpec(n - l - 1, 2 * l + 1), eta)
-    return norm * exp(-eta / 2.0) * eta**l * poly
+    return norm * _exp(-eta / 2.0) * eta**l * poly
 
 
 def expect_r_power_nr(state: NrState, p: int) -> Expectation:

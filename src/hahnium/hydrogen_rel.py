@@ -33,10 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .angular import HalfInt
-from .hydrogen_nr import Expectation, _finite_potential
+from .hydrogen_nr import Expectation, _exp, _finite_potential
 from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
 from .specfun import gamma_ratio, inc_gamma_upper, pochhammer
 
@@ -152,8 +150,7 @@ def radial_rel(state: RelState, r):
         * gamma_ratio((n + 1.0,), (n + 2.0 * nu,))
         / mu
     )
-    exp = np.exp if isinstance(xi, np.ndarray) else math.exp
-    shape = norm * xi ** (nu - 1.0) * exp(-xi / 2.0)
+    shape = norm * xi ** (nu - 1.0) * _exp(-xi / 2.0)
     f1 = a * mu / ek_minus
     g1 = a * (kappa - nu) / ek_minus
     f2 = kappa - nu

@@ -1,8 +1,9 @@
 """Independent brute-force ground truth.
 
 Adaptive Gauss-Kronrod quadrature on (0, inf) with analytic handling of
-an endpoint singularity, bound-state moment oracles assembled directly
-from wavefunction shapes, and a product sphere quadrature.  Nothing
+an endpoint singularity, bound-state moment and screening oracles
+assembled directly from wavefunction shapes, and a product sphere
+quadrature.  Nothing
 here calls the closed-form modules it validates: the only internal
 imports are the polynomial primitives needed to evaluate integrands,
 and the relativistic density is built from the traditional radial form
@@ -26,6 +27,7 @@ __all__ = [
     "brute_expect_nr",
     "brute_expect_rel",
     "brute_screening",
+    "brute_screening_nr",
     "quad_semi_infinite",
     "sphere_quad",
 ]
@@ -233,14 +235,14 @@ def quad_semi_infinite(
     return QuadratureResult(value=value, error_estimate=error, evaluations=evaluations)
 
 
-@lru_cache(maxsize=4096)
-def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
-    """Unnormalized nonrelativistic moment integral over the density shape."""
+def _nr_density(z: float, n: int, l: int) -> Callable:
+    """Unnormalized nonrelativistic radial density of r, from the Laguerre
+    shape: e^(-eta) eta^(2l) L^2 with eta = 2zr/n."""
     scale = 2.0 * z / n
     spec = LaguerreSpec(n - l - 1, 2 * l + 1)
     peak = 2 * l
 
-    def integrand(r: np.ndarray) -> np.ndarray:
+    def density(r: np.ndarray) -> np.ndarray:
         eta = scale * r
         shape = laguerre(spec, eta)
         # eta^(2l) e^(-eta) over its peak value, in log space: the plain
@@ -249,10 +251,18 @@ def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
             weight = np.exp(peak * np.log(eta / peak) - (eta - peak))
         else:
             weight = np.exp(-eta)
-        return weight * shape * shape * np.power(r, p + 2.0)
+        return weight * shape * shape
 
+    return density
+
+
+@lru_cache(maxsize=4096)
+def _nr_moment(z: float, n: int, l: int, p: int, rel_tol: float) -> float:
+    """Unnormalized nonrelativistic moment integral over the density shape."""
+    density = _nr_density(z, n, l)
     return quad_semi_infinite(
-        integrand, 2 * l + p + 2, scale, rel_tol, polynomial_degree=2 * n + p,
+        lambda r: density(r) * np.power(r, p + 2.0),
+        2 * l + p + 2, 2.0 * z / n, rel_tol, polynomial_degree=2 * n + p,
     ).value
 
 
@@ -376,6 +386,88 @@ def brute_screening(
         polynomial_degree=degree - 1.0,
     ).value
     return Z / r - (full - tail_charge) / r - tail_linear
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(count: int) -> tuple:
+    return np.polynomial.legendre.leggauss(count)
+
+
+def _unit_interval(f: Callable, rel_tol: float) -> float:
+    """Integral of f over (0, 1) by Gauss-Legendre, the node count doubled
+    until two counts agree to rel_tol."""
+    previous, count = None, 16
+    while count <= 2048:
+        nodes, weights = _gauss_legendre(count)
+        value = 0.5 * float(np.dot(weights, f(0.5 * (nodes + 1.0))))
+        if previous is not None and abs(value - previous) <= rel_tol * abs(value):
+            return value
+        previous, count = value, 2 * count
+    raise QuadratureError("Gauss-Legendre on (0, 1) did not settle at 2048 nodes")
+
+
+@lru_cache(maxsize=4096)
+def _nr_multipoles(z: float, n: int, l: int, r: float, rel_tol: float) -> tuple:
+    """(M_0, M_2, ...) for even L <= 2l: M_L = r^-(L+1) times the interior
+    integral of D s^(L+2) plus r^L times the exterior one of D s^(1-L),
+    D the radial density normalized by its own quadrature.  With s = r*u
+    inside and s = r + t outside, neither r^L nor s^L is formed: the
+    interior is r^2 times the integral of D(ru) u^(L+2) over (0, 1), by
+    Gauss-Legendre, and the exterior the integral of D(s) s (r/s)^L over
+    t > 0, by the semi-infinite quadrature."""
+    density = _nr_density(z, n, l)
+    norm = _nr_moment(z, n, l, 0, rel_tol)
+    out = []
+    for big_l in range(0, 2 * l + 1, 2):
+        inner = r * r * _unit_interval(
+            lambda u: density(r * u) * u ** (big_l + 2), rel_tol
+        )
+        outer = quad_semi_infinite(
+            lambda t: density(r + t) * (r + t) * (r / (r + t)) ** big_l,
+            0.0, 2.0 * z / n, rel_tol, polynomial_degree=2 * n - 1 - big_l,
+        ).value
+        out.append((inner + outer) / norm)
+    return tuple(out)
+
+
+def _angular_weights(l: int, m: int, theta: float) -> list:
+    """[w_L] for even L <= 2l: the mean of P_L(cos t) over the angular
+    density |Y_lm(t)|^2 times P_L(cos theta).  |Y_lm|^2 is proportional to
+    (1-x^2)^m (d^m P_l/dx^m)^2 in x = cos t, a polynomial of degree 2l,
+    so 2l+1 Gauss-Legendre nodes in x integrate it times P_L exactly; the
+    normalization is that same sum at L = 0."""
+    legendre = np.polynomial.legendre.Legendre.basis
+    x, weights = _gauss_legendre(2 * l + 1)
+    density = weights * (1.0 - x * x) ** abs(m) * legendre(l).deriv(abs(m))(x) ** 2
+    density /= density.sum()
+    return [
+        float(density @ legendre(big_l)(x)) * float(legendre(big_l)(math.cos(theta)))
+        for big_l in range(0, 2 * l + 1, 2)
+    ]
+
+
+def brute_screening_nr(state, r: float, theta: float = 0.0,
+                       rel_tol: float = 1e-12) -> float:
+    """Mean potential (e/a0) at (r, theta) of a nucleus Z plus the
+    electron of a nonrelativistic state, multipole by multipole:
+
+        V = Z/r - sum_L w_L M_L
+
+    with M_L the radial multipoles by quadrature of the Laguerre-shape
+    density (cached per Z, n, l, r and rel_tol, so the states m = 0..l
+    at one radius share them) and w_L the angular weights by exact
+    Gauss-Legendre over |Y_lm|^2.  Any l; the state object only needs
+    Z, n, l, m attributes.
+    """
+    z, n, l, m = float(state.Z), int(state.n), int(state.l), int(state.m)
+    if not 0 <= l < n or abs(m) > l:
+        raise ValueError(f"need 0 <= l < n and |m| <= l, got n={n}, l={l}, m={m}")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    multipoles = _nr_multipoles(z, n, l, float(r), rel_tol)
+    weights = _angular_weights(l, m, theta)
+    electron = math.fsum(w * radial for w, radial in zip(weights, multipoles))
+    return z / r - electron
 
 
 def sphere_quad(f: Callable, degree: int) -> complex:

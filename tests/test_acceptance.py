@@ -10,11 +10,9 @@ scalings with their expected rates, and byte-frozen CLI behavior.
 The checks that `hahnium verify` also runs live in `hahnium.checks`;
 these tests call them on the release grids, which are larger than
 verify's small and full grids.  Checks that only a criterion runs stay
-here, with the multipole quadrature of criterion 09, which the screening
-unit tests import.
+here.
 """
 
-import functools
 import itertools
 import math
 import pathlib
@@ -23,11 +21,9 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from hahnium import checks
 from hahnium.angular import HalfInt, clebsch_gordan, spherical_harmonic, spinor_harmonic
-from hahnium.hydrogen_nr import NrState, radial_nr, screening_nr
+from hahnium.hydrogen_nr import NrState, screening_nr
 from hahnium.laguerre_integrals import (
     JSpec,
     j_diag_negative_exact,
@@ -36,8 +32,7 @@ from hahnium.laguerre_integrals import (
     linearization_closed_form,
     linearization_coeffs,
 )
-from hahnium.oracle import quad_semi_infinite, sphere_quad
-from hahnium.orthopoly import legendre
+from hahnium.oracle import brute_screening_nr, sphere_quad
 from hahnium.specfun import pochhammer
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -307,12 +302,11 @@ def test_criterion_09_screening_forms_and_limits():
         for n in range(1, 11):
             for l in range(n):
                 for r in (1e-3, 1.0, n * n / Z, 4.0 * n * n / Z):
-                    multipoles = screening_multipoles_by_quadrature(Z, n, l, r)
                     for m in range(l + 1):
-                        want, electron = screening_from_multipoles(
-                            Z, l, m, r, theta, multipoles
-                        )
-                        got = screening_nr(NrState(Z, n, l, m), r, theta)
+                        state = NrState(Z, n, l, m)
+                        want = brute_screening_nr(state, r, theta, rel_tol=1e-13)
+                        electron = Z / r - want
+                        got = screening_nr(state, r, theta)
                         deviation = abs(got - want) / max(abs(want), abs(electron))
                         worst = max(worst, (deviation, (Z, n, l, m, r)))
                         cases += 1
@@ -320,55 +314,6 @@ def test_criterion_09_screening_forms_and_limits():
     assert cases == 1760
     assert worst[0] <= 1e-9, worst
     assert elapsed < 60.0, f"multipole sweep took {elapsed:.1f}s"
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(count: int) -> tuple:
-    return np.polynomial.legendre.leggauss(count)
-
-
-def _interior_by_gauss(state: NrState, r: float, big_l: int) -> float:
-    """Integral of R^2 s^(L+2) over (0, r) by Gauss-Legendre, the node
-    count doubled until two counts agree to 1e-12."""
-    previous, count = None, 16
-    while count <= 2048:
-        nodes, weights = _gauss_legendre(count)
-        s = 0.5 * r * (nodes + 1.0)
-        value = 0.5 * r * float(np.dot(weights, radial_nr(state, s) ** 2 * s ** (big_l + 2)))
-        if previous is not None and abs(value - previous) <= 1e-12 * abs(value):
-            return value
-        previous, count = value, 2 * count
-    raise AssertionError(f"Gauss-Legendre did not settle for {state}, r={r}, L={big_l}")
-
-
-def screening_multipoles_by_quadrature(Z: float, n: int, l: int, r: float) -> list:
-    """[(L, radial_L)] for even L <= 2l, radial_L = r^-(L+1) times the
-    interior integral of R^2 s^(L+2) plus r^L times the exterior one of
-    R^2 s^(1-L); the interior by Gauss-Legendre on (0, r), the exterior
-    by the semi-infinite quadrature from r.  Shares nothing with the
-    closed form but the radial function."""
-    state = NrState(Z, n, l)
-    out = []
-    for big_l in range(0, 2 * l + 1, 2):
-        outer = quad_semi_infinite(
-            lambda t: radial_nr(state, r + t) ** 2 * (r + t) ** (1 - big_l),
-            0.0, 2.0 * Z / n, 1e-13, polynomial_degree=2 * n - 1 - big_l,
-        ).value
-        inner = _interior_by_gauss(state, r, big_l)
-        out.append((big_l, inner / r ** (big_l + 1) + r**big_l * outer))
-    return out
-
-
-def screening_from_multipoles(Z: float, l: int, m: int, r: float, theta: float,
-                              multipoles: list) -> tuple:
-    """(V, electron term): the multipoles weighted by their Clebsch-Gordan
-    pair and P_L(cos theta), subtracted from Z/r."""
-    electron = sum(
-        clebsch_gordan(l, m, big_l, 0, l, m) * clebsch_gordan(l, 0, big_l, 0, l, 0)
-        * legendre(big_l, math.cos(theta)) * radial
-        for big_l, radial in multipoles
-    )
-    return Z / r - electron, electron
 
 
 def _run_cli(*args):

@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -103,12 +104,55 @@ def test_expectation_with_oracle_column():
 @pytest.mark.parametrize("args", [
     ("expectation", "--nr", "-Z", "1", "-n", "70", "-l", "0", "-p", "2"),
     ("screening", "--nr", "-Z", "1", "-n", "40", "--radii", "1,100"),
+    # a nonspherical state: the screening oracle works multipole by multipole
+    ("screening", "--nr", "-Z", "1", "-n", "3", "-l", "2", "-m", "1", "--theta", "0.7",
+     "--radii", "0.5,4,20"),
 ])
 def test_oracle_column_right_at_large_n(args):
     # the quadrature must cover the density out to its turning point
     proc = run_cli(*args, "--with-oracle")
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert rows and all(row["rel_diff"] <= 1e-9 for row in rows), rows
+
+
+# Run in a fresh interpreter, because pytest has numpy loaded already:
+# each stage prints which of the heavy modules are in sys.modules after it.
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from hahnium import cli
+    HEAVY = ("numpy", "hahnium.oracle", "hahnium.checks", "hahnium.laguerre_integrals")
+    NR = ["--nr", "-Z", "1", "-n", "2", "-l", "1"]
+    REL = ["--rel", "-Z", "92", "--nr-quantum", "1", "--kappa", "-1"]
+    STAGES = {
+        "compute": [
+            ["energy", *NR], ["energy", *REL],
+            ["expectation", *NR, "-p", "2"], ["expectation", *REL, "-p", "2"],
+            ["screening", *NR, "--radii", "1,2"],
+            ["screening", "--rel", "-Z", "92", "--radii", "0.01"],
+        ],
+        "with-oracle": [["expectation", *NR, "-p", "2", "--with-oracle"]],
+        "verify": [["verify", "--suite", "identities", "--budget", "small"]],
+    }
+    loaded = {}
+    for stage, argvs in STAGES.items():
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        loaded[stage] = [name for name in HEAVY if name in sys.modules]
+    print(json.dumps(loaded))
+""")
+
+
+def test_compute_commands_load_only_the_closed_forms():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["compute"] == []
+    # the lazy imports run: --with-oracle loads the oracle, verify the checks
+    assert {"numpy", "hahnium.oracle"} <= set(loaded["with-oracle"])
+    assert "hahnium.checks" not in loaded["with-oracle"]
+    assert "hahnium.checks" in loaded["verify"]
 
 
 def test_screening_far_field_keeps_net_charge():

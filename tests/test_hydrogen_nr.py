@@ -14,8 +14,7 @@ from hahnium.hydrogen_nr import (
     radial_nr,
     screening_nr,
 )
-from hahnium.oracle import brute_expect_nr, quad_semi_infinite
-from test_acceptance import screening_from_multipoles, screening_multipoles_by_quadrature
+from hahnium.oracle import brute_expect_nr, brute_screening_nr, quad_semi_infinite
 
 
 def test_state_validation():
@@ -123,10 +122,8 @@ def test_screening_limits_and_anisotropy():
 
 def _deviation_from_quadrature(state, r, theta):
     """|closed form - quadrature| / max(|V|, electron term)."""
-    multipoles = screening_multipoles_by_quadrature(state.Z, state.n, state.l, r)
-    want, electron = screening_from_multipoles(
-        state.Z, state.l, state.m, r, theta, multipoles
-    )
+    want = brute_screening_nr(state, r, theta, rel_tol=1e-13)
+    electron = state.Z / r - want
     return abs(screening_nr(state, r, theta) - want) / max(abs(want), abs(electron))
 
 

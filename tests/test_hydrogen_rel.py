@@ -1,7 +1,9 @@
 """Dirac-Coulomb bound states: energies, radial functions and moments."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hahnium.checks import rel_states
@@ -131,6 +133,28 @@ def test_ground_state_explicit_form():
         pair = radial_rel(state, r_bohr / state.mu)
         assert pair.F * state.mu**-1.5 == pytest.approx(f_ref, rel=1e-13)
         assert pair.G * state.mu**-1.5 == pytest.approx(g_ref, rel=1e-12)
+
+
+def test_radial_rel_of_an_array_is_the_scalar_values():
+    # n_r = 0 and n_r >= 1, kappa of both signs
+    for z, n_r, kappa in [(1.0, 0, -1), (92.0, 0, -2), (40.0, 1, -2), (80.0, 3, 2),
+                          (92.0, 2, 1)]:
+        state = RelState(z, n_r, kappa)
+        radii = np.array([0.05, 0.5, 2.0, 10.0]) / state.mu
+        pair = radial_rel(state, radii)
+        for i, r in enumerate(radii):
+            one = radial_rel(state, float(r))
+            assert pair.F[i] == pytest.approx(one.F, rel=1e-14, abs=0.0)
+            assert pair.G[i] == pytest.approx(one.G, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [2, 2.0, Fraction(2), np.float64(2.0)])
+def test_radial_functions_of_a_scalar_radius_are_floats(r):
+    pair = radial_rel(RelState(1.0, 1, -1), r)
+    for value in (radial_nr(NrState(1.0, 3, 1), r), pair.F, pair.G):
+        # numpy's float64 is a float subclass; every other radius gives a float
+        assert isinstance(value, float), type(value)
+        assert isinstance(r, np.float64) or type(value) is float, type(value)
 
 
 def test_hahn_forms_match_general_form():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hahnium.oracle as oracle
+from hahnium.angular import clebsch_gordan
 from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
 from hahnium.hydrogen_rel import RelState, expect_r_power_rel, expect_special_rel
 from hahnium.oracle import (
@@ -18,6 +19,7 @@ from hahnium.oracle import (
     brute_expect_nr,
     brute_expect_rel,
     brute_screening,
+    brute_screening_nr,
     quad_semi_infinite,
     sphere_quad,
 )
@@ -270,6 +272,28 @@ def test_brute_screening_matches_closed_form_ground_state():
             got = brute_screening(density, z, r, 0.0, 2.0 * z)
             want = screening_nr(state, r)
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_screening_angular_weights_are_the_clebsch_gordan_pair():
+    # the mean of P_L over |Y_lm|^2 is (l m L 0|l m)(l 0 L 0|l 0)
+    for l in range(6):
+        for m in range(-l, l + 1):
+            weights = oracle._angular_weights(l, m, 0.0)
+            for big_l, got in zip(range(0, 2 * l + 1, 2), weights):
+                want = clebsch_gordan(l, m, big_l, 0, l, m) * clebsch_gordan(l, 0, big_l, 0, l, 0)
+                assert abs(got - want) <= 1e-14, (l, m, big_l)
+
+
+def test_brute_screening_nr_ground_state_and_refusals():
+    # V = (Z-1)/r + (1/r + Z) e^(-2Zr), whatever theta
+    for r in (0.1, 1.0, 5.0):
+        want = screening_nr(NrState(2.0, 1, 0), r)
+        got = brute_screening_nr(NrState(2.0, 1, 0), r, theta=1.3)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    with pytest.raises(ValueError):
+        brute_screening_nr(NrState(1.0, 2, 1), 0.0)
+    with pytest.raises(ValueError):
+        brute_screening_nr(NrState(1.0, 2, 1, 1), -1.0)
 
 
 def test_sphere_quad_polynomial_exactness():
