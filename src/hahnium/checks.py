@@ -28,7 +28,7 @@ from .hydrogen_rel import (
     ALPHA_FS,
     RelState,
     _converges,
-    _sqrt_frac,
+    _exact_params,
     expect_r_power_rel,
     expect_special_rel,
     screening_rel_1s,
@@ -323,15 +323,14 @@ def sommerfeld_rate(n_rs: Iterable[int], kappa: int, mus: Sequence) -> dict:
 
     The remainder, around 1e-18 for mu ~ 1e-3, sits far below binary64
     resolution near epsilon = 1, so epsilon is built in rational
-    arithmetic (60-digit square roots) before subtracting.
+    arithmetic (square roots rounded to 40 decimals) before subtracting.
     """
     ratios = []
     for n_r in n_rs:
         n = n_r + abs(kappa)
         remainders = []
         for mu in map(Fraction, mus):
-            n_eff = n_r + _sqrt_frac(kappa * kappa - mu * mu)
-            eps = n_eff / _sqrt_frac(n_eff * n_eff + mu * mu)
+            _, eps, _ = _exact_params(n_r, kappa, mu)
             series = (1 - mu**2 / (2 * n**2)
                       - (Fraction(n, abs(kappa)) - Fraction(3, 4)) * mu**4 / (2 * n**4))
             remainders.append(abs(float(eps - series)))

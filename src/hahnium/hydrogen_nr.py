@@ -64,8 +64,8 @@ class Expectation:
 
     value carries a factor unit**length_power; method names the route
     that computed it, "closed_form".  The cancellation_flag is set by the
-    relativistic closed form when severe term cancellation forced the
-    rational fallback path.
+    relativistic closed form when severe term cancellation made it sum
+    its bracket in exact rational arithmetic instead of binary64.
     """
 
     value: Real

@@ -12,19 +12,19 @@ a0 = (hbar/mc)/alpha.
 Numerical policy: every moment <r^p> is one bracket of three terms whose
 factors g1, g2, g3 are Hahn polynomials at negative parameter N (over
 Pochhammer products for p <= -3, and in closed form at p = -1 and -2,
-where no series is left to sum).  One body, `_bracket_factors`,
-computes them in the field of nu: a float nu gives the binary64 route,
-a Fraction nu the exact rescue.  The three terms carry alternating
+where no series is left to sum).  One body, `_bracket`, builds the terms
+and their divisor in the field of its arguments: floats give the binary64
+route, Fractions the exact one.  The three terms carry alternating
 signs and can cancel almost completely for large p; summed with fsum
 and the stable epsilon*kappa -+ nu factorizations they leave a relative
 error of about 1e-14 times the cancellation ratio max|t_i| / |sum t_i|.
-When that ratio exceeds 1e4, the bracket is recomputed in exact
-rational arithmetic at two nearby rational nu values and extrapolated
-linearly to the true nu, and the result is flagged.  Below the trigger
-the float sum is good to about 1e-10 or better.  The ratio peaks at
-about 3e3 over Z <= 137, |kappa| <= 6, n_r <= 30, p in [-8, 24]; it
-reaches 1e5..1e7 at kappa = 1 when Z is within 1e-3..1e-5 of the
-critical charge 1/alpha.
+When that ratio exceeds 1e4, the same bracket is summed once more in
+rational arithmetic, at the exact mu = Z*alpha with nu, epsilon and a
+from square roots rounded to 40 decimals, and the result is flagged.
+Below the trigger the float sum is good to about 1e-10 or better.  The
+ratio peaks at about 3e3 over Z <= 137, |kappa| <= 6, n_r <= 30,
+p in [-8, 24]; it reaches 1e5..1e7 at kappa = 1 when Z is within
+1e-3..1e-5 of the critical charge 1/alpha.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angular import HalfInt
 from .hydrogen_nr import Expectation, _exp, _finite_potential
 from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
 from .specfun import gamma_ratio, inc_gamma_upper, pochhammer
@@ -93,10 +92,6 @@ class RelState:
         return math.sqrt((self.kappa - self.mu) * (self.kappa + self.mu))
 
     @property
-    def j(self) -> HalfInt:
-        return HalfInt(2 * abs(self.kappa) - 1)
-
-    @property
     def epsilon(self) -> float:
         n_eff = self.n_r + self.nu
         return n_eff / math.hypot(n_eff, self.mu)
@@ -121,14 +116,15 @@ def energy_rel(state: RelState) -> float:
     return state.epsilon
 
 
-def _eps_kappa_pm(n: int, kappa: int, eps: float, nu: float, a: float):
+def _eps_kappa_pm(n: int, kappa: int, eps, nu, a):
     """(eps*kappa + nu, eps*kappa - nu) with the small member rebuilt
     from the eigenvalue identity (eps k - nu)(eps k + nu) = a^2 n (2nu+n),
-    which avoids the O(mu^2) cancellation on one side."""
-    product = a * a * n * (2.0 * nu + n)
+    which avoids the O(mu^2) cancellation on one side.  In the field of
+    the arguments: float or Fraction."""
+    product = a * a * n * (2 * nu + n)
     if kappa < 0:
         minus = eps * kappa - nu
-        plus = product / minus if n > 0 else 0.0
+        plus = product / minus if n > 0 else product
     else:
         plus = eps * kappa + nu
         minus = product / plus
@@ -178,8 +174,10 @@ def _check_admissible(nu: float, p: int) -> None:
         )
 
 
-def _bracket_factors(n: int, p: int, nu):
-    """Hahn factors (g1, g2, g3) of the moment bracket at power p.
+def _bracket(n: int, kappa: int, p: int, nu, mu, eps, a):
+    """Terms (t1, t2, t3) and divisor D of the moment bracket at power p,
+    <r^p> = (t1 + t2 + t3) / D, in the field of the arguments (float, or
+    Fraction for the exact sum):
 
     4 mu nu^2 (2a)^p <r^p> = a k (eps k + nu) g1
         - 2(p+2) mu a^2 n (2nu+n) g2 + a k (eps k - nu) g3,
@@ -188,7 +186,6 @@ def _bracket_factors(n: int, p: int, nu):
     and g3 = h_{q+1}^{(0,0)}(n, 1-2nu), for p <= -3 over (2nu-q)_{2q+3},
     (2nu-q-1)_{2q+3} and (2nu-q-2)_{2q+3}.  At p = -1 and -2 the
     underlying 3F2 series close by Chu-Vandermonde (DLMF 15.4.24).
-    Evaluated in the field of nu: float, or Fraction for the rescue.
     """
     if p == -1:
         g1, g2, g3 = 1, 1 / (2 * nu + n), 1
@@ -207,81 +204,59 @@ def _bracket_factors(n: int, p: int, nu):
             g3 /= pochhammer(2 * nu - q - 2, 2 * q + 3)
     if n == 0:
         g1 = g2 = 0
-    return g1, g2, g3
+    ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
+    terms = (
+        a * kappa * ek_plus * g1,
+        -2 * (p + 2) * mu * a * a * n * (2 * nu + n) * g2,
+        a * kappa * ek_minus * g3,
+    )
+    return terms, 4 * mu * nu * nu * (2 * a) ** p
 
 
 def _sqrt_frac(x: Fraction) -> Fraction:
-    """Rational approximation of sqrt(x) good to ~60 decimals."""
-    scale = 10**60
-    root = math.isqrt(x.numerator * x.denominator * scale * scale)
-    return Fraction(root, x.denominator * scale)
+    """sqrt(x) rounded down to 40 decimals: the denominator stays 10**40,
+    which keeps the exact bracket sums cheap."""
+    scale = 10**40
+    return Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
 
 
-def _rc8_exact_at(n: int, kappa: int, p: int, nu_t: Fraction) -> Fraction:
-    """<r^p> for the rational-parameter problem nu = nu_t, exact up to
-    two high-precision square roots.
-
-    With mu^2 = kappa^2 - nu^2 and the quantization rule a = eps*mu/(n+nu)
-    every term is linear in eps over the rationals, so the sum is carried
-    as u + v*eps with exact u, v; eps and mu enter numerically only at
-    the end, at 60-digit precision.
-    """
-    mu2 = kappa * kappa - nu_t * nu_t
-    n_eff = n + nu_t
-    hyp2 = n_eff * n_eff + mu2
-    eps2 = n_eff * n_eff / hyp2
-    g1, g2, g3 = _bracket_factors(n, p, nu_t)
-    u = kappa * kappa * eps2 * (g1 + g3) / n_eff
-    u -= 2 * (p + 2) * (eps2 * kappa * kappa - nu_t * nu_t) * g2
-    v = kappa * nu_t * (g1 - g3) / n_eff
-    eps_hp = _sqrt_frac(eps2)
-    mu_hp = _sqrt_frac(mu2)
-    total = u + v * eps_hp
-    return (
-        total
-        * n_eff**p
-        / (4 * nu_t**2 * Fraction(2) ** p * eps_hp**p * mu_hp**p)
-    )
+def _exact_params(n: int, kappa: int, mu: Fraction) -> tuple:
+    """(nu, eps, a) of the state (n_r = n, kappa) at the rational mu,
+    through two square roots rounded to 40 decimals."""
+    nu = _sqrt_frac(kappa * kappa - mu * mu)
+    n_eff = n + nu
+    hyp = _sqrt_frac(n_eff * n_eff + mu * mu)
+    return nu, n_eff / hyp, mu / hyp
 
 
-def _rc8_rational_fallback(state: RelState, p: int) -> float:
-    """Moment via exact arithmetic at two dyadic nu values bracketing the
-    true nu, extrapolated linearly; removes the float cancellation."""
-    kappa, n = state.kappa, state.n_r
-    mu2 = (Fraction(state.Z) * Fraction(state.alpha_fs)) ** 2
-    nu_hp = _sqrt_frac(kappa * kappa - mu2)
-    grid = Fraction(1, 2**40)
-    low = Fraction(math.floor(nu_hp / grid), 1) * grid
-    y_low = _rc8_exact_at(n, kappa, p, low)
-    y_high = _rc8_exact_at(n, kappa, p, low + grid)
-    return float(y_low + (y_high - y_low) * (nu_hp - low) / grid)
+def _exact_moment(state: RelState, p: int) -> float:
+    """<r^p> from the bracket summed once in rational arithmetic, at the
+    exact mu = Z*alpha; free of the float sum's cancellation."""
+    n, kappa = state.n_r, state.kappa
+    mu = Fraction(state.Z) * Fraction(state.alpha_fs)
+    nu, eps, a = _exact_params(n, kappa, mu)
+    terms, divisor = _bracket(n, kappa, p, nu, mu, eps, a)
+    return float(sum(terms) / divisor)
 
 
 def expect_r_power_rel(state: RelState, p: int) -> Expectation:
-    """<r^p> in (hbar/mc)^p units from the Hahn bracket of
-    `_bracket_factors`, summed in binary64.
+    """<r^p> in (hbar/mc)^p units from the Hahn bracket of `_bracket`,
+    summed in binary64.
 
     Admissible when 2*nu+p+1 > 0.  Cancellation between the three terms
-    beyond a ratio of 1e4 triggers the rational fallback, which evaluates
-    the same bracket exactly, and sets cancellation_flag.
+    beyond a ratio of 1e4 sums the same bracket exactly instead
+    (`_exact_moment`) and sets cancellation_flag.
     """
     nu = state.nu
     _check_admissible(nu, p)
-    n, kappa, mu, eps, a = state.n_r, state.kappa, state.mu, state.epsilon, state.a
-    ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
-    g1, g2, g3 = _bracket_factors(n, p, nu)
-    terms = (
-        a * kappa * ek_plus * g1,
-        -2.0 * (p + 2) * mu * a * a * n * (2.0 * nu + n) * g2,
-        a * kappa * ek_minus * g3,
-    )
+    terms, divisor = _bracket(state.n_r, state.kappa, p, nu, state.mu,
+                              state.epsilon, state.a)
     total = math.fsum(terms)
     largest = max(abs(t) for t in terms)
     if largest > 0.0 and abs(total) < 1e-4 * largest:
-        value = _rc8_rational_fallback(state, p)
+        value = _exact_moment(state, p)
         return Expectation(value, p, "compton_reduced", "closed_form", True)
-    value = total / (4.0 * mu * nu * nu * (2.0 * a) ** p)
-    return Expectation(value, p, "compton_reduced", "closed_form")
+    return Expectation(total / divisor, p, "compton_reduced", "closed_form")
 
 
 _SPECIAL_POWERS = {"r2": 2, "r1": 1, "one": 0, "rm1": -1, "rm2": -2, "rm3": -3}
@@ -356,18 +331,12 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     In e/a0 units with r in Bohr radii; nu1 = sqrt(1 - mu^2).  Recovers
     the nonrelativistic closed form as mu -> 0 and the Coulomb limits
     r*V -> Z (r -> 0), r*V -> Z-1 (r -> infinity).  ArithmeticError
-    where V leaves binary64 range (a subnormal r).
+    where V leaves binary64 range (a subnormal r); ValueError where
+    RelState(Z, 0, -1, alpha_fs) does (Z, alpha_fs, or mu >= 1).
     """
-    if not Z > 0:
-        raise ValueError("Z must be positive")
-    if not 0 < alpha_fs < math.inf:
-        raise ValueError("alpha_fs must be positive and finite")
+    nu1 = RelState(Z, 0, -1, alpha_fs).nu
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
-    mu = float(Z) * alpha_fs
-    if not mu < 1.0:
-        raise ValueError(f"mu >= 1: mu = {mu:.6f}; the 1S state needs mu < 1")
-    nu1 = math.sqrt((1.0 - mu) * (1.0 + mu))
     x = 2.0 * Z * r
     norm = math.gamma(2.0 * nu1 + 1.0)
     peak = (2.0 * Z) ** (2.0 * nu1) * r ** (2.0 * nu1 - 1.0) * math.exp(-x) / norm

@@ -414,18 +414,23 @@ def _nr_multipoles(z: float, n: int, l: int, r: float, rel_tol: float) -> tuple:
     inside and s = r + t outside, neither r^L nor s^L is formed: the
     interior is r^2 times the integral of D(ru) u^(L+2) over (0, 1), by
     Gauss-Legendre, and the exterior the integral of D(s) s (r/s)^L over
-    t > 0, by the semi-infinite quadrature."""
+    t > 0, by the semi-infinite quadrature.  D >= 0 gives |M_L| <= M_0,
+    so past L = 0 an exterior integral may also stop at an error of
+    rel_tol times M_0's integral: one far below M_0, even subnormal,
+    then converges."""
     density = _nr_density(z, n, l)
     norm = _nr_moment(z, n, l, 0, rel_tol)
-    out = []
+    out, abs_tol = [], 0.0
     for big_l in range(0, 2 * l + 1, 2):
         inner = r * r * _unit_interval(
             lambda u: density(r * u) * u ** (big_l + 2), rel_tol
         )
         outer = quad_semi_infinite(
             lambda t: density(r + t) * (r + t) * (r / (r + t)) ** big_l,
-            0.0, 2.0 * z / n, rel_tol, polynomial_degree=2 * n - 1 - big_l,
+            0.0, 2.0 * z / n, rel_tol, abs_tol, polynomial_degree=2 * n - 1 - big_l,
         ).value
+        if big_l == 0:
+            abs_tol = rel_tol * (inner + outer)
         out.append((inner + outer) / norm)
     return tuple(out)
 

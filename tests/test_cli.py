@@ -107,6 +107,8 @@ def test_expectation_with_oracle_column():
     # a nonspherical state: the screening oracle works multipole by multipole
     ("screening", "--nr", "-Z", "1", "-n", "3", "-l", "2", "-m", "1", "--theta", "0.7",
      "--radii", "0.5,4,20"),
+    # far inside the density, (r/s)^L leaves subnormal exterior multipoles
+    ("screening", "--nr", "-Z", "1", "-n", "150", "-l", "149", "-m", "3", "--radii", "1"),
 ])
 def test_oracle_column_right_at_large_n(args):
     # the quadrature must cover the density out to its turning point

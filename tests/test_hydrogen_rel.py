@@ -10,7 +10,7 @@ from hahnium.checks import rel_states
 from hahnium.hydrogen_rel import (
     ALPHA_FS,
     RelState,
-    _rc8_rational_fallback,
+    _exact_moment,
     energy_rel,
     expect_hahn_form_rel,
     expect_r_power_rel,
@@ -30,7 +30,7 @@ def _grid():
 def test_state_validation():
     with pytest.raises(ValueError, match="kappa < 0"):
         RelState(1.0, 0, 1)  # the n_r = 0 state needs kappa < 0
-    with pytest.raises(ValueError, match="mu >= |kappa|"):
+    with pytest.raises(ValueError, match=r"mu >= \|kappa\|"):
         RelState(200.0, 1, -1)  # supercritical coupling
     with pytest.raises(ValueError):
         RelState(1.0, -1, -1)
@@ -43,7 +43,6 @@ def test_state_validation():
 
 def test_quantum_number_bookkeeping():
     state = RelState(92.0, 2, -2)
-    assert float(state.j) == 1.5
     assert state.mu == pytest.approx(92.0 * ALPHA_FS, rel=1e-15)
     assert state.nu == pytest.approx(math.sqrt(4.0 - state.mu**2), rel=1e-15)
 
@@ -222,6 +221,8 @@ def test_screened_potential_ground_state():
     for alpha_fs in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha_fs must be positive and finite"):
             screening_rel_1s(1.0, 1.0, alpha_fs=alpha_fs)
+    with pytest.raises(ValueError, match=r"mu >= \|kappa\|"):
+        screening_rel_1s(1.01 / ALPHA_FS, 1.0)  # no bound 1S state past mu = 1
 
 
 @pytest.mark.parametrize("potential, args", [
@@ -236,18 +237,16 @@ def test_screening_refuses_a_potential_beyond_binary64(potential, args):
 
 
 def test_rational_fallback_consistent_with_float_route():
-    from hahnium.hydrogen_rel import _rc8_rational_fallback
-
     for z, n_r, kappa, p in [(40.0, 2, 2, 1), (92.0, 3, -2, -2)]:
         state = RelState(z, n_r, kappa)
-        fallback = _rc8_rational_fallback(state, p)
+        fallback = _exact_moment(state, p)
         direct = expect_r_power_rel(state, p).value
         assert abs(fallback - direct) <= 1e-11 * abs(direct)
 
 
 def test_moments_match_exact_route_on_wide_grid():
-    # the float bracket against the same bracket in exact arithmetic
-    # (the rescue), relative 1e-10; a raised flag is allowed
+    # the float bracket against the same bracket summed exactly (the
+    # rescue), relative 1e-12; a raised flag is allowed
     cases = 0
     for z in (1.0, 40.0, 92.0, 130.0):
         for kappa in (-1, 1, -2, 2, -5, 5, -30, 30):
@@ -259,8 +258,8 @@ def test_moments_match_exact_route_on_wide_grid():
                     if not 2.0 * state.nu + p + 1.0 > 0.0:
                         continue
                     got = expect_r_power_rel(state, p).value
-                    want = _rc8_rational_fallback(state, p)
-                    assert abs(got - want) <= 1e-10 * abs(want), (z, n_r, kappa, p)
+                    want = _exact_moment(state, p)
+                    assert abs(got - want) <= 1e-12 * abs(want), (z, n_r, kappa, p)
                     cases += 1
     assert cases == 5985
 
@@ -271,7 +270,7 @@ def test_inverse_r_at_large_n_r(z, n_r, kappa):
     # one term, where the flag cannot see it; rm1 is an independent form
     state = RelState(z, n_r, kappa)
     got = expect_r_power_rel(state, -1).value
-    for want in (_rc8_rational_fallback(state, -1), expect_special_rel(state, "rm1").value):
+    for want in (_exact_moment(state, -1), expect_special_rel(state, "rm1").value):
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
