@@ -74,20 +74,28 @@ class Spinor2:
         return abs(self.up) ** 2 + abs(self.down) ** 2
 
 
-def _assoc_legendre(l: int, m: int, x: float) -> float:
-    """Associated Legendre P_l^m for 0 <= m <= l, no phase factor."""
+def _normalized_legendre(l: int, m: int, x: float) -> float:
+    """sqrt((2l+1)/4pi (l-m)!/(l+m)!) P_l^m(x) for 0 <= m <= l, no phase.
+
+    Starts from the normalized sectoral value sqrt((2m+1)/4pi prod_{i<=m}
+    (2i-1)/(2i)) (1-x^2)^(m/2) and climbs in degree with the normalized
+    three-term recurrence, so no factorial is formed and every
+    intermediate stays within sqrt((2l+1)/4pi) for any l.
+    """
     sine_sq = max(0.0, 1.0 - x * x)
-    curr = 1.0
-    for i in range(m):
-        curr *= (2 * i + 1)
-    curr *= sine_sq ** (m / 2.0)
+    ratio = 1.0
+    for i in range(1, m + 1):
+        ratio *= (2 * i - 1) / (2 * i)
+    curr = math.sqrt((2 * m + 1) / (4.0 * math.pi) * ratio) * sine_sq ** (m / 2.0)
     if l == m:
         return curr
-    prev, curr = curr, x * (2 * m + 1) * curr
+    prev, curr = curr, x * math.sqrt(2 * m + 3) * curr
     for degree in range(m + 2, l + 1):
-        prev, curr = curr, (
-            x * (2 * degree - 1) * curr - (degree + m - 1) * prev
-        ) / (degree - m)
+        lead = math.sqrt((4 * degree * degree - 1) / (degree * degree - m * m))
+        back = math.sqrt(
+            ((degree - 1) ** 2 - m * m) / (4 * (degree - 1) ** 2 - 1)
+        )
+        prev, curr = curr, lead * (x * curr - back * prev)
     return curr
 
 
@@ -95,15 +103,12 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Y_lm(theta, phi), physics convention.
 
     Y_10 = sqrt(3/4pi) cos(theta) and Y_11 = -sqrt(3/8pi) sin(theta) e^(i phi)
-    fix the phases; Y_{l,-m} = (-1)^m conj(Y_lm).
+    fix the phases; Y_{l,-m} = (-1)^m conj(Y_lm).  Any degree l.
     """
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid harmonic index l={l}, m={m}")
     mm = abs(m)
-    scale = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - mm) / math.factorial(l + mm)
-    )
-    value = scale * _assoc_legendre(l, mm, math.cos(theta))
+    value = _normalized_legendre(l, mm, math.cos(theta))
     if mm % 2:
         value = -value
     result = value * cmath.exp(1j * mm * phi)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .angular import clebsch_gordan
@@ -36,6 +37,10 @@ __all__ = [
 Real = Union[int, float, Fraction]
 
 _LN2 = math.log(2.0)
+# Entries kept by each of screening's two caches (angular weights per
+# (l, |m|), density polynomial per (n, l)).  One density polynomial at
+# n = 150 is ~60 kB, so a full cache of such states stays ~15 MB.
+_SCREENING_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,8 @@ def inversion_check_nr(state: NrState, k: int):
     return lhs, rhs
 
 
-def _density_poly(n: int, l: int) -> list:
+@lru_cache(maxsize=_SCREENING_CACHE)
+def _density_poly(n: int, l: int) -> tuple:
     """Integer coefficients, lowest power first, of (N! L_N^(2l+1))^2 with
     N = n-l-1.  In eta = 2Zr/n the density r^2 R^2 dr is e^-eta eta^(2l+2)
     times this polynomial, divided by K = N! (n+l)! 2n, d eta."""
@@ -204,10 +210,25 @@ def _density_poly(n: int, l: int) -> list:
     shape = [
         (-1) ** j * math.perm(N, N - j) * math.comb(n + l, N - j) for j in range(N + 1)
     ]
-    return [
+    return tuple(
         sum(shape[j] * shape[i - j] for j in range(max(0, i - N), min(i, N) + 1))
         for i in range(2 * N + 1)
-    ]
+    )
+
+
+@lru_cache(maxsize=_SCREENING_CACHE)
+def _multipole_weights(l: int, m_abs: int) -> tuple:
+    """((L, c_L), ...) over the even L <= 2l whose Clebsch-Gordan pair
+    c_L = (l m L 0|l m)(l 0 L 0|l 0) is nonzero, with m = m_abs.  For even L
+    the 3j sign-reversal symmetry (DLMF 34.3) gives the same c_L at -m."""
+    pairs = []
+    for big_l in range(0, 2 * l + 1, 2):
+        coupling = clebsch_gordan(l, m_abs, big_l, 0, l, m_abs) * clebsch_gordan(
+            l, 0, big_l, 0, l, 0
+        )
+        if coupling != 0.0:
+            pairs.append((big_l, coupling))
+    return tuple(pairs)
 
 
 def _damped(num: int, den: int, eta: float) -> float:
@@ -225,7 +246,12 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
     """Mean potential of nucleus plus bound electron, in e/a0 units.
 
     V = (Z - sum_L w_L M_L) / r over even L <= 2l, w_L the Clebsch-Gordan
-    pair times P_L(cos theta); in eta = 2Zr/n and the density rho of
+    pair (l m L 0|l m)(l 0 L 0|l 0) times P_L(cos theta).  The pair depends
+    only on the integers (l, |m|): for even L, reversing every projection
+    of a 3j symbol multiplies it by (-1)^L = 1.  So the pairs of one
+    (l, |m|), and the density polynomial of one (n, l), are computed once
+    and reused by every later call (`_multipole_weights`, `_density_poly`;
+    bounded caches).  In eta = 2Zr/n and the density rho of
     `_density_poly`, M_L = eta^-L int_0^eta rho t^L + eta^(L+1) int_eta^inf
     rho t^(-L-1).  With f_k k! the moments of the integrand's polynomial,
     C their sum and e_k the exponential series cut after eta^k/k!, each
@@ -287,13 +313,8 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
         return ((total << e * big_l) / (norm * p_l) if beyond else 0.0) + near
 
     electron = 0.0
-    for s in range(l + 1):
-        coupling = clebsch_gordan(l, m, 2 * s, 0, l, m) * clebsch_gordan(
-            l, 0, 2 * s, 0, l, 0
-        )
-        if coupling == 0.0:
-            continue
-        electron += coupling * legendre(2 * s, math.cos(theta)) * multipole(2 * s)
+    for big_l, coupling in _multipole_weights(l, abs(m)):
+        electron += coupling * legendre(big_l, math.cos(theta)) * multipole(big_l)
     return _finite_potential((z - electron) / r, r)
 
 

@@ -51,6 +51,35 @@ def test_spherical_harmonic_orthonormality():
             assert abs(got - want) <= 1e-12
 
 
+def _factorial_harmonic(l, m, theta, phi):
+    # the factorial-normalized form, exact enough for small l
+    mm, x = abs(m), math.cos(theta)
+    curr = math.prod(range(1, 2 * mm, 2)) * (1.0 - x * x) ** (mm / 2.0)
+    prev, curr = 0.0, curr
+    for degree in range(mm + 1, l + 1):
+        prev, curr = curr, (x * (2 * degree - 1) * curr - (degree + mm - 1) * prev) / (degree - mm)
+    scale = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - mm) / math.factorial(l + mm))
+    value = (-1) ** mm * scale * curr * cmath.exp(1j * mm * phi)
+    return value if m >= 0 else (-1) ** mm * value.conjugate()
+
+
+def test_spherical_harmonic_matches_factorial_form_at_small_degree():
+    for l in range(21):
+        for m in range(-l, l + 1):
+            for theta in THETAS + (0.0, math.pi):
+                for phi in PHIS:
+                    want = _factorial_harmonic(l, m, theta, phi)
+                    assert abs(spherical_harmonic(l, m, theta, phi) - want) <= 1e-13, (l, m)
+
+
+@pytest.mark.parametrize("l", [170, 171, 300])
+def test_spherical_harmonic_addition_theorem_at_large_degree(l):
+    # sum_m |Y_lm|^2 = (2l+1)/4pi; factorials left binary64 at l + |m| >= 171
+    for theta in (0.7,) + THETAS:
+        total = math.fsum(abs(spherical_harmonic(l, m, theta, 0.1)) ** 2 for m in range(-l, l + 1))
+        assert total == pytest.approx((2 * l + 1) / (4.0 * math.pi), rel=1e-12), theta
+
+
 def test_clebsch_gordan_exact_reference_values():
     sign, square = clebsch_gordan_exact(HALF, HALF, HALF, -HALF, 1, 0)
     assert (sign, square) == (1, Fraction(1, 2))

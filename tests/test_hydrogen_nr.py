@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hahnium import hydrogen_nr
 from hahnium.hydrogen_nr import (
     NrState,
     energy_nr,
@@ -163,6 +164,29 @@ def test_screening_high_l_at_tiny_radius():
         assert math.isfinite(value)
         # r V = Z - r <1/r> + O(r^3)
         assert r * value == pytest.approx(1.0 - r / n**2, abs=1e-15)
+
+
+def test_screening_caches_change_no_value():
+    # the (l, |m|) weights and the (n, l) density polynomial are cached;
+    # a warm cache, the call order and the sign of m must not move a bit
+    caches = (hydrogen_nr._multipole_weights, hydrogen_nr._density_poly)
+    for cache in caches:
+        assert 0 < cache.cache_info().maxsize < math.inf
+        cache.cache_clear()
+    z = 2.0
+    cases = [
+        (n, l, m, r)
+        for n, l, m_abs in [(3, 2, 1), (10, 9, 9), (40, 39, 7)]
+        for m in (m_abs, -m_abs)
+        for r in (1e-3, 1.0, 4.0 * n * n / z)
+    ]
+    cold = {c: screening_nr(NrState(z, *c[:3]), c[3], 0.7) for c in cases}
+    assert caches[0].cache_info().misses == 3 and caches[1].cache_info().misses == 3
+    for c in reversed(cases):
+        warm = screening_nr(NrState(z, *c[:3]), c[3], 0.7)
+        assert warm.hex() == cold[c].hex(), c
+    for n, l, m, r in cases:
+        assert cold[n, l, m, r].hex() == cold[n, l, -m, r].hex(), (n, l, m, r)
 
 
 def test_screening_domain_guard():

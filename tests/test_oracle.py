@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hahnium.oracle as oracle
+from hahnium import hydrogen_nr
 from hahnium.angular import clebsch_gordan
 from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
 from hahnium.hydrogen_rel import RelState, expect_r_power_rel, expect_special_rel
@@ -282,6 +283,17 @@ def test_screening_angular_weights_are_the_clebsch_gordan_pair():
             for big_l, got in zip(range(0, 2 * l + 1, 2), weights):
                 want = clebsch_gordan(l, m, big_l, 0, l, m) * clebsch_gordan(l, 0, big_l, 0, l, 0)
                 assert abs(got - want) <= 1e-14, (l, m, big_l)
+    # and the cached pairs screening_nr sums, keyed on |m|, for l <= 12;
+    # an L the helper omits must carry no weight
+    for l in range(13):
+        for m in range(-l, l + 1):
+            weights = oracle._angular_weights(l, m, 0.0)
+            kept = dict(hydrogen_nr._multipole_weights(l, abs(m)))
+            for big_l, want in zip(range(0, 2 * l + 1, 2), weights):
+                if big_l in kept:
+                    assert abs(kept[big_l] - want) <= 1e-14, (l, m, big_l)
+                else:
+                    assert abs(want) <= 1e-15, (l, m, big_l)
 
 
 def test_brute_screening_nr_ground_state_and_refusals():
