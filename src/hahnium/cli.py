@@ -8,9 +8,10 @@ Subcommands
   verify       run a named self-check suite and report residuals
 
 Output is machine-readable: JSON (one object per line, keys sorted) or
-CSV with a header row.  Every JSON record carries schema_version, the
-parsed inputs, the value(s), the unit, and the method.  Exit codes:
-0 success, 1 internal numerical failure, 2 invalid input.
+CSV, which has a header row except under verify, whose CSV is one status
+line per check.  Every JSON record carries schema_version, the parsed
+inputs, the value(s), the unit, and the method.  Exit codes: 0 success,
+1 numerical failure (a value beyond binary64 range too), 2 invalid input.
 
 Each subcommand takes only the flags it reads.  Every one takes
 --format.  energy, expectation and screening take --units and a state:
@@ -20,8 +21,9 @@ flag of the other model is refused.  expectation adds the powers and
 --with-oracle.  verify takes --suite and --budget.  Radius grids are
 always given in Bohr radii regardless of the output unit system.
 
-The oracle columns of expectation and screening run the quadrature at
-ORACLE_REL_TOL; the verify suites run it at VERIFY_ORACLE_REL_TOL.  The
+The oracle columns of expectation and screening come from
+`hahnium.oracle` alone, on its own densities, at ORACLE_REL_TOL; the
+verify suites run the quadrature at VERIFY_ORACLE_REL_TOL.  The
 suites hold no checks of their own: each runs functions of
 `hahnium.checks` on a small or a full grid (--budget).  The acceptance
 tests run the same functions on the release grids, which are the larger
@@ -48,7 +50,6 @@ from .hydrogen_rel import (
     RelState,
     energy_rel,
     expect_r_power_rel,
-    radial_rel,
     screening_rel_1s,
 )
 
@@ -68,54 +69,33 @@ COMPTON_REDUCED_CM = BOHR_RADIUS_CM * ALPHA_FS
 MC2_ERG = ELECTRON_MASS_G * SPEED_OF_LIGHT_CM_S**2
 HARTREE_ERG = ALPHA_FS**2 * MC2_ERG
 
-_UNIT_SYSTEMS = ("hartree_bohr", "natural_compton", "cgs")
+# Per unit system and quantity: the label, and the factor from the native
+# unit of each model.  Native lengths are a0 (--nr) and hbar/mc (--rel),
+# native energies hartree and mc^2; potentials are in e/a0 for both.
+_UNITS = {
+    "hartree_bohr": {
+        "length": ("a0", {"nr": 1.0, "rel": ALPHA_FS}),
+        "energy": ("hartree", {"nr": 1.0, "rel": 1.0 / ALPHA_FS**2}),
+        "potential": ("e/a0", {"nr": 1.0, "rel": 1.0}),
+    },
+    "natural_compton": {
+        "length": ("hbar_over_mc", {"nr": 1.0 / ALPHA_FS, "rel": 1.0}),
+        "energy": ("mc^2", {"nr": ALPHA_FS**2, "rel": 1.0}),
+        "potential": ("e/(hbar/mc)", {"nr": ALPHA_FS, "rel": ALPHA_FS}),
+    },
+    "cgs": {
+        "length": ("cm", {"nr": BOHR_RADIUS_CM, "rel": COMPTON_REDUCED_CM}),
+        "energy": ("erg", {"nr": HARTREE_ERG, "rel": MC2_ERG}),
+        "potential": ("C/cm", {"nr": ELEMENTARY_CHARGE / BOHR_RADIUS_CM,
+                               "rel": ELEMENTARY_CHARGE / BOHR_RADIUS_CM}),
+    },
+}
 
-_LENGTH_LABEL = {
-    "hartree_bohr": "a0",
-    "natural_compton": "hbar_over_mc",
-    "cgs": "cm",
-}
-_ENERGY_LABEL = {
-    "hartree_bohr": "hartree",
-    "natural_compton": "mc^2",
-    "cgs": "erg",
-}
-_POTENTIAL_LABEL = {
-    "hartree_bohr": "e/a0",
-    "natural_compton": "e/(hbar/mc)",
-    "cgs": "C/cm",
-}
 
-# multiplicative factor turning a native length into the requested unit
-_LENGTH_FACTOR = {
-    "bohr_radius": {
-        "hartree_bohr": 1.0,
-        "natural_compton": 1.0 / ALPHA_FS,
-        "cgs": BOHR_RADIUS_CM,
-    },
-    "compton_reduced": {
-        "hartree_bohr": ALPHA_FS,
-        "natural_compton": 1.0,
-        "cgs": COMPTON_REDUCED_CM,
-    },
-}
-_ENERGY_FACTOR = {
-    "hartree": {
-        "hartree_bohr": 1.0,
-        "natural_compton": ALPHA_FS**2,
-        "cgs": HARTREE_ERG,
-    },
-    "mc^2": {
-        "hartree_bohr": 1.0 / ALPHA_FS**2,
-        "natural_compton": 1.0,
-        "cgs": MC2_ERG,
-    },
-}
-_POTENTIAL_FACTOR = {
-    "hartree_bohr": 1.0,
-    "natural_compton": ALPHA_FS,
-    "cgs": ELEMENTARY_CHARGE / BOHR_RADIUS_CM,
-}
+def _unit(args: argparse.Namespace, quantity: str) -> tuple:
+    """(label, factor from native units) of `quantity` in --units."""
+    label, factors = _UNITS[args.units][quantity]
+    return label, factors[args.model]
 
 
 # the state flags of each model, by argparse dest
@@ -143,79 +123,68 @@ def _build_state(args: argparse.Namespace):
     return RelState(args.Z, args.nr_quantum, args.kappa)
 
 
-def _inputs_record(args: argparse.Namespace, state) -> dict:
-    record = {
-        "command": args.command,
-        "model": args.model,
-        "unit_system": args.units,
-    }
+def _quantum_numbers(state) -> dict:
     if isinstance(state, NrState):
-        record.update({"Z": state.Z, "n": state.n, "l": state.l, "m": state.m})
-    else:
-        record.update({"Z": state.Z, "n_r": state.n_r, "kappa": state.kappa})
-    return record
+        return {"n": state.n, "l": state.l, "m": state.m}
+    return {"n_r": state.n_r, "kappa": state.kappa}
 
 
 def _emit_json(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _emit_rows(fmt: str, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    """One JSON record per row, or CSV: a header and each row projected
-    onto `columns` (looked up in the row, then in its quantum_numbers)."""
-    if fmt == "json":
+def _emit_table(args: argparse.Namespace, state, rows: list, columns: list,
+                oracle: Optional[Callable] = None, **inputs) -> int:
+    """Write the rows of a compute command.
+
+    Each row gets schema_version, model, method and the inputs record
+    (the command, model, unit system and state, plus `inputs`).  With an
+    `oracle`, which maps a row to its reference value, each row also gets
+    that value and its relative difference from the row's value.  JSON
+    writes one record per row; CSV a header and each row projected onto
+    the columns (looked up in the row, then in its quantum_numbers).
+    """
+    record = {"command": args.command, "model": args.model, "unit_system": args.units,
+              "Z": state.Z, **_quantum_numbers(state), **inputs}
+    if oracle is not None:
+        columns = [*columns, "oracle", "rel_diff"]
+    for row in rows:
+        row.update(schema_version=SCHEMA_VERSION, model=args.model, inputs=record,
+                   method="closed_form")
+        if oracle is not None:
+            reference = oracle(row)
+            row["oracle"] = reference
+            row["rel_diff"] = abs(row["value"] - reference) / max(
+                abs(reference), sys.float_info.min
+            )
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row.values()):
+            raise ArithmeticError(f"a value exceeds binary64 range in {args.units} units")
+    if args.format == "json":
         for row in rows:
             _emit_json(row)
-        return
-    sys.stdout.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = (row[c] if c in row else row["quantum_numbers"][c] for c in columns)
-        sys.stdout.write(",".join(str(cell) for cell in cells) + "\n")
+    else:
+        sys.stdout.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (row[c] if c in row else row["quantum_numbers"][c] for c in columns)
+            sys.stdout.write(",".join(str(cell) for cell in cells) + "\n")
+    return 0
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
     state = _build_state(args)
-    inputs = _inputs_record(args, state)
-    unit = _ENERGY_LABEL[args.units]
-    if isinstance(state, NrState):
-        value = energy_nr(state) * _ENERGY_FACTOR["hartree"][args.units]
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "model": "nr",
-            "Z": state.Z,
-            "quantum_numbers": {"n": state.n, "l": state.l, "m": state.m},
-            "energy": value,
-            "unit": unit,
-            "method": "closed_form",
-            "inputs": inputs,
-        }
-        columns = ["model", "Z", "n", "l", "m", "energy", "unit", "method"]
+    label, factor = _unit(args, "energy")
+    row = {"Z": state.Z, "quantum_numbers": _quantum_numbers(state), "unit": label}
+    if args.model == "nr":
+        row["energy"] = energy_nr(state) * factor
     else:
-        factor = _ENERGY_FACTOR["mc^2"][args.units]
         eps = energy_rel(state)
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "model": "rel",
-            "Z": state.Z,
-            "quantum_numbers": {
-                "n_r": state.n_r,
-                "kappa": state.kappa,
-                "two_j": 2 * abs(state.kappa) - 1,
-            },
-            "energy": eps * factor,
-            "epsilon": eps,
-            "nu": state.nu,
-            "binding": (eps - 1.0) * factor,
-            "unit": unit,
-            "method": "closed_form",
-            "inputs": inputs,
-        }
-        columns = [
-            "model", "Z", "n_r", "kappa", "energy", "epsilon", "nu",
-            "binding", "unit", "method",
-        ]
-    _emit_rows(args.format, [record], columns)
-    return 0
+        row["quantum_numbers"]["two_j"] = 2 * abs(state.kappa) - 1
+        row.update(energy=eps * factor, epsilon=eps, nu=state.nu,
+                   binding=(eps - 1.0) * factor)
+    columns = ["model", "Z", *_quantum_numbers(state), "energy",
+               *(["epsilon", "nu", "binding"] if args.model == "rel" else []),
+               "unit", "method"]
+    return _emit_table(args, state, [row], columns)
 
 
 def _power_list(args: argparse.Namespace) -> list:
@@ -232,47 +201,29 @@ def _power_list(args: argparse.Namespace) -> list:
 
 def cmd_expectation(args: argparse.Namespace) -> int:
     state = _build_state(args)
-    inputs = _inputs_record(args, state)
     powers = _power_list(args)
-    if isinstance(state, NrState):
-        native = "bohr_radius"
-        compute: Callable = expect_r_power_nr
-    else:
-        native = "compton_reduced"
-        compute = expect_r_power_rel
+    nr = args.model == "nr"
+    compute = expect_r_power_nr if nr else expect_r_power_rel
+    label, factor = _unit(args, "length")
+    rows = []
+    for p in powers:
+        result = compute(state, p)
+        row = {"p": p, "value": result.value * factor**p, "unit": f"{label}^{p}",
+               "unit_power": p}
+        if not nr:
+            row["cancellation_flag"] = result.cancellation_flag
+        rows.append(row)
+    oracle = None
     if args.with_oracle:
         from .oracle import brute_expect_nr, brute_expect_rel
 
-        oracle = brute_expect_nr if isinstance(state, NrState) else brute_expect_rel
-    factor = _LENGTH_FACTOR[native][args.units]
-    label = _LENGTH_LABEL[args.units]
-    rows = []
-    for p in sorted(powers):
-        result = compute(state, p)
-        value = result.value * factor**p
-        row = {
-            "schema_version": SCHEMA_VERSION,
-            "model": args.model,
-            "inputs": inputs,
-            "p": p,
-            "value": value,
-            "unit": f"{label}^{p}",
-            "unit_power": p,
-            "method": result.method,
-        }
-        if not isinstance(state, NrState):
-            row["cancellation_flag"] = result.cancellation_flag
-        if args.with_oracle:
-            reference = oracle(state, p, rel_tol=ORACLE_REL_TOL) * factor**p
-            scale = max(abs(reference), sys.float_info.min)
-            row["oracle"] = reference
-            row["rel_diff"] = abs(value - reference) / scale
-        rows.append(row)
-    columns = ["p", "value", "unit", "unit_power", "method"]
-    if args.with_oracle:
-        columns += ["oracle", "rel_diff"]
-    _emit_rows(args.format, rows, columns)
-    return 0
+        brute = brute_expect_nr if nr else brute_expect_rel
+
+        def oracle(row: dict) -> float:
+            return brute(state, row["p"], rel_tol=ORACLE_REL_TOL) * factor ** row["p"]
+
+    return _emit_table(args, state, rows, ["p", "value", "unit", "unit_power", "method"],
+                       oracle)
 
 
 def _parse_radii(text: str) -> list:
@@ -291,21 +242,11 @@ def cmd_screening(args: argparse.Namespace) -> int:
     if args.model == "rel" and args.nr_quantum is None and args.kappa is None:
         args.nr_quantum, args.kappa = 0, -1
     state = _build_state(args)
-    factor = _POTENTIAL_FACTOR[args.units]
-    label = _POTENTIAL_LABEL[args.units]
-    oracle_fn: Optional[Callable] = None
+    label, factor = _unit(args, "potential")
+    inputs = {"radii_bohr": radii}
     if args.model == "nr":
-        theta = args.theta
-
-        def closed_form(r: float) -> float:
-            return screening_nr(state, r, theta)
-
-        if args.with_oracle:
-            from .oracle import brute_screening_nr
-
-            def oracle_fn(r: float) -> float:
-                return brute_screening_nr(state, r, theta, ORACLE_REL_TOL)
-
+        inputs["theta"] = args.theta
+        values = [screening_nr(state, r, args.theta) for r in radii]
     else:
         if (state.n_r, state.kappa) != (0, -1):
             raise ValueError(
@@ -314,59 +255,20 @@ def cmd_screening(args: argparse.Namespace) -> int:
             )
         if args.theta:
             raise ValueError("--theta applies to nonrelativistic screening only")
+        values = [screening_rel_1s(state.Z, r) for r in radii]
+    rows = [{"r_bohr": r, "value": v * factor, "unit": label} for r, v in zip(radii, values)]
+    oracle = None
+    if args.with_oracle:
+        from .oracle import brute_screening_nr, brute_screening_rel
 
-        def closed_form(r: float) -> float:
-            return screening_rel_1s(state.Z, r)
+        def oracle(row: dict) -> float:
+            r = row["r_bohr"]
+            if args.model == "nr":
+                return brute_screening_nr(state, r, args.theta, ORACLE_REL_TOL) * factor
+            return brute_screening_rel(state, r, ORACLE_REL_TOL) * factor
 
-        if args.with_oracle:
-            from .oracle import brute_screening
-
-            pair_density = lambda s: (
-                lambda pair: pair.F**2 + pair.G**2
-            )(radial_rel(state, s))
-            nu, a = state.nu, state.a
-
-            def oracle_fn(r: float) -> float:
-                return (
-                    brute_screening(
-                        pair_density,
-                        state.Z,
-                        r / ALPHA_FS,
-                        2.0 * nu - 2.0,
-                        2.0 * a,
-                        ORACLE_REL_TOL,
-                    )
-                    / ALPHA_FS
-                )
-
-    inputs = _inputs_record(args, state)
-    inputs["radii_bohr"] = radii
-    if args.model == "nr":
-        inputs["theta"] = args.theta
-    rows = []
-    for r in radii:
-        value = closed_form(r) * factor
-        row = {
-            "schema_version": SCHEMA_VERSION,
-            "model": args.model,
-            "inputs": inputs,
-            "r_bohr": r,
-            "value": value,
-            "unit": label,
-            "method": "closed_form",
-        }
-        if oracle_fn is not None:
-            reference = oracle_fn(r) * factor
-            row["oracle"] = reference
-            row["rel_diff"] = abs(value - reference) / max(
-                abs(reference), sys.float_info.min
-            )
-        rows.append(row)
-    columns = ["r_bohr", "value", "unit", "method"]
-    if oracle_fn is not None:
-        columns += ["oracle", "rel_diff"]
-    _emit_rows(args.format, rows, columns)
-    return 0
+    return _emit_table(args, state, rows, ["r_bohr", "value", "unit", "method"], oracle,
+                       **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     state = argparse.ArgumentParser(add_help=False, parents=[output])
     state.add_argument(
-        "--units", choices=_UNIT_SYSTEMS, default=None,
+        "--units", choices=tuple(_UNITS), default=None,
         help="output unit system (default: hartree_bohr for --nr, "
         "natural_compton for --rel)",
     )

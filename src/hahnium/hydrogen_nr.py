@@ -67,16 +67,17 @@ class NrState:
 class Expectation:
     """A radial moment <r^p> together with its unit bookkeeping.
 
-    value carries a factor unit**length_power; method names the route
-    that computed it, "closed_form".  The cancellation_flag is set by the
-    relativistic closed form when severe term cancellation made it sum
-    its bracket in exact rational arithmetic instead of binary64.
+    value carries a factor unit**length_power.  The cancellation_flag is
+    set by the relativistic closed form when it summed its bracket in
+    exact rational arithmetic instead of binary64: after severe term
+    cancellation, or where a binary64 term or the quotient left the
+    range.  A value outside binary64 range is never returned: the
+    routines raise ArithmeticError instead.
     """
 
     value: Real
     length_power: int
     unit: str  # "bohr_radius" | "compton_reduced"
-    method: str  # "closed_form"
     cancellation_flag: bool = False
 
 
@@ -123,7 +124,8 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
 
     p >= -1 evaluates t_{p+1}(n-l-1, -2l-1); p <= -2 evaluates
     t_{-p-2}(n-l-1, -2l-1) times the inversion ratio (2l-k)!/(2l+k+1)!,
-    admissible down to p = -2l-2.
+    admissible down to p = -2l-2.  ArithmeticError where the binary64
+    product (n/2Z)^p t_k leaves the range.
     """
     l = state.l
     if p >= -1:
@@ -137,7 +139,7 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
             )
         ratio = _inversion_ratio(l, k)
     value = _chebyshev_moment(state, k, ratio, p)
-    return Expectation(value, p, "bohr_radius", "closed_form")
+    return Expectation(_in_range(value, "<r^%d>", p), p, "bohr_radius")
 
 
 def _inversion_ratio(l: int, k: int) -> Fraction:
@@ -165,7 +167,8 @@ def expect_recurrence_nr(state: NrState, k_max: int) -> list:
     """<r^k> for k = -1 .. k_max from the three-term moment recurrence.
 
     Seeds <1/r> = Z/n^2 and <1> = 1; each further moment costs O(1).
-    Must agree with expect_r_power_nr everywhere.
+    Must agree with expect_r_power_nr everywhere.  ArithmeticError where
+    a binary64 value leaves the range.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -177,11 +180,8 @@ def expect_recurrence_nr(state: NrState, k_max: int) -> list:
     for k in range(1, k_max + 1):
         lead = 2 * n * (2 * k + 1) * scale * values[-1]
         trail = k * ((2 * l + 1) ** 2 - k**2) * scale**2 * values[-2]
-        values.append((lead - trail) / (k + 1))
-    return [
-        Expectation(v, k, "bohr_radius", "closed_form")
-        for k, v in enumerate(values, start=-1)
-    ]
+        values.append(_in_range((lead - trail) / (k + 1), "<r^%d>", k))
+    return [Expectation(v, k, "bohr_radius") for k, v in enumerate(values, start=-1)]
 
 
 def inversion_check_nr(state: NrState, k: int):
@@ -315,11 +315,13 @@ def screening_nr(state: NrState, r: float, theta: float = 0.0) -> float:
     electron = 0.0
     for big_l, coupling in _multipole_weights(l, abs(m)):
         electron += coupling * legendre(big_l, math.cos(theta)) * multipole(big_l)
-    return _finite_potential((z - electron) / r, r)
+    return _in_range((z - electron) / r, "the potential at r = %r", r)
 
 
-def _finite_potential(value: float, r: float) -> float:
-    """value, or ArithmeticError where it left binary64 range (r subnormal)."""
-    if not math.isfinite(value):
-        raise ArithmeticError(f"the potential at r = {r!r} exceeds binary64 range")
+def _in_range(value: Real, what: str, *args) -> Real:
+    """value, or ArithmeticError where a binary64 value left the range,
+    named by `what % args` (formatted only then); exact values pass
+    unchecked."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ArithmeticError(f"{what % args} exceeds binary64 range")
     return value

@@ -18,9 +18,10 @@ route, Fractions the exact one.  The three terms carry alternating
 signs and can cancel almost completely for large p; summed with fsum
 and the stable epsilon*kappa -+ nu factorizations they leave a relative
 error of about 1e-14 times the cancellation ratio max|t_i| / |sum t_i|.
-When that ratio exceeds 1e4, the same bracket is summed once more in
-rational arithmetic, at the exact mu = Z*alpha with nu, epsilon and a
-from square roots rounded to 40 decimals, and the result is flagged.
+When that ratio exceeds 1e4, or a term or the quotient leaves binary64
+range (large p), the same bracket is summed once more in rational
+arithmetic, at the exact mu = Z*alpha with nu, epsilon and a from
+square roots rounded to 40 decimals, and the result is flagged.
 Below the trigger the float sum is good to about 1e-10 or better.  The
 ratio peaks at about 3e3 over Z <= 137, |kappa| <= 6, n_r <= 30,
 p in [-8, 24]; it reaches 1e5..1e7 at kappa = 1 when Z is within
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hydrogen_nr import Expectation, _exp, _finite_potential
+from .hydrogen_nr import Expectation, _exp, _in_range
 from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
 from .specfun import gamma_ratio, inc_gamma_upper, pochhammer
 
@@ -231,12 +232,16 @@ def _exact_params(n: int, kappa: int, mu: Fraction) -> tuple:
 
 def _exact_moment(state: RelState, p: int) -> float:
     """<r^p> from the bracket summed once in rational arithmetic, at the
-    exact mu = Z*alpha; free of the float sum's cancellation."""
+    exact mu = Z*alpha; free of the float sum's cancellation.
+    OverflowError where <r^p> is beyond binary64 range."""
     n, kappa = state.n_r, state.kappa
     mu = Fraction(state.Z) * Fraction(state.alpha_fs)
     nu, eps, a = _exact_params(n, kappa, mu)
     terms, divisor = _bracket(n, kappa, p, nu, mu, eps, a)
-    return float(sum(terms) / divisor)
+    try:
+        return float(sum(terms) / divisor)
+    except OverflowError:
+        raise OverflowError(f"<r^{p}> exceeds binary64 range") from None
 
 
 def expect_r_power_rel(state: RelState, p: int) -> Expectation:
@@ -244,19 +249,23 @@ def expect_r_power_rel(state: RelState, p: int) -> Expectation:
     summed in binary64.
 
     Admissible when 2*nu+p+1 > 0.  Cancellation between the three terms
-    beyond a ratio of 1e4 sums the same bracket exactly instead
-    (`_exact_moment`) and sets cancellation_flag.
+    beyond a ratio of 1e4, or a term or quotient outside binary64 range
+    (an overflow at large p, or (2a)^p underflowing to 0), sums the same
+    bracket exactly instead (`_exact_moment`) and sets cancellation_flag.
+    That route raises OverflowError where the moment itself is out of
+    range.
     """
     nu = state.nu
     _check_admissible(nu, p)
     terms, divisor = _bracket(state.n_r, state.kappa, p, nu, state.mu,
                               state.epsilon, state.a)
-    total = math.fsum(terms)
-    largest = max(abs(t) for t in terms)
-    if largest > 0.0 and abs(total) < 1e-4 * largest:
-        value = _exact_moment(state, p)
-        return Expectation(value, p, "compton_reduced", "closed_form", True)
-    return Expectation(total / divisor, p, "compton_reduced", "closed_form")
+    if divisor and all(map(math.isfinite, terms)):
+        total = math.fsum(terms)
+        value = total / divisor
+        cancelled = abs(total) < 1e-4 * max(map(abs, terms))
+        if math.isfinite(value) and not cancelled:
+            return Expectation(value, p, "compton_reduced")
+    return Expectation(_exact_moment(state, p), p, "compton_reduced", True)
 
 
 _SPECIAL_POWERS = {"r2": 2, "r1": 1, "one": 0, "rm1": -1, "rm2": -2, "rm3": -3}
@@ -306,7 +315,7 @@ def expect_special_rel(state: RelState, case: str) -> Expectation:
             * (3.0 * eps * eps * kappa * kappa - 3.0 * eps * kappa - nu * nu + 1.0)
             / (nu * (nu * nu - 1.0) * (4.0 * nu * nu - 1.0))
         )
-    return Expectation(value, p, "compton_reduced", "closed_form")
+    return Expectation(value, p, "compton_reduced")
 
 
 def expect_hahn_form_rel(state: RelState, p: int, which: str = "positive") -> Expectation:
@@ -341,4 +350,4 @@ def screening_rel_1s(Z: float, r: float, alpha_fs: float = ALPHA_FS) -> float:
     norm = math.gamma(2.0 * nu1 + 1.0)
     peak = (2.0 * Z) ** (2.0 * nu1) * r ** (2.0 * nu1 - 1.0) * math.exp(-x) / norm
     tail = inc_gamma_upper(2.0 * nu1, x) / norm * (2.0 * nu1 / r - 2.0 * Z)
-    return _finite_potential((Z - 1.0) / r + peak + tail, r)
+    return _in_range((Z - 1.0) / r + peak + tail, "the potential at r = %r", r)

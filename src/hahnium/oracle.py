@@ -3,11 +3,12 @@
 Adaptive Gauss-Kronrod quadrature on (0, inf) with analytic handling of
 an endpoint singularity, bound-state moment and screening oracles
 assembled directly from wavefunction shapes, and a product sphere
-quadrature.  Nothing
-here calls the closed-form modules it validates: the only internal
-imports are the polynomial primitives needed to evaluate integrands,
-and the relativistic density is built from the traditional radial form
-rather than the production one.
+quadrature.  Nothing here calls the closed-form modules it validates:
+the only internal imports are the polynomial primitives needed to
+evaluate integrands, and the relativistic density is built from the
+traditional radial form rather than the production one.  Every oracle
+column of the command line comes from this module alone, so a fault in
+a closed form cannot show in both columns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "brute_expect_rel",
     "brute_screening",
     "brute_screening_nr",
+    "brute_screening_rel",
     "quad_semi_infinite",
     "sphere_quad",
 ]
@@ -281,13 +283,14 @@ def brute_expect_nr(state, p: int, rel_tol: float = 1e-12) -> float:
     return _nr_moment(z, n, l, p, rel_tol) / _nr_moment(z, n, l, 0, rel_tol)
 
 
-@lru_cache(maxsize=4096)
-def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> float:
-    """Unnormalized Dirac moment integral from the traditional radial form.
+def _rel_density(mu: float, n_r: int, kappa: int) -> tuple:
+    """(D, nu, a): the unnormalized Dirac radial density D = F^2 + G^2 of
+    r (reduced Compton lengths) from the traditional radial form, with
+    D ~ r^(2nu-2) at the origin and decay e^(-2ar).
 
     The large/small components are linear combinations of L_{n-1}^{2nu}
     and L_n^{2nu} (terms with L_{n-1} are zero at n_r = 0); overall
-    constants cancel in the moment ratio and are dropped.
+    constants are dropped.
     """
     nu = math.sqrt(kappa * kappa - mu * mu)
     hyp = math.hypot(n_r + nu, mu)
@@ -305,7 +308,7 @@ def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> floa
     spec_high = LaguerreSpec(n_r, 2.0 * nu)
     spec_low = LaguerreSpec(n_r - 1, 2.0 * nu) if n_r > 0 else None
 
-    def integrand(r: np.ndarray) -> np.ndarray:
+    def density(r: np.ndarray) -> np.ndarray:
         xi = 2.0 * a * r
         high = laguerre(spec_high, xi)
         low = 0.0 if spec_low is None else laguerre(spec_low, xi)
@@ -314,10 +317,17 @@ def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> floa
         envelope = np.power(xi, nu - 1.0) * np.exp(-xi / 2.0)
         f = (f_low * low + f_high * high) * envelope
         g = (g_low * low + g_high * high) * envelope
-        return (f * f + g * g) * np.power(r, p + 2.0)
+        return f * f + g * g
 
+    return density, nu, a
+
+
+@lru_cache(maxsize=4096)
+def _rel_moment(mu: float, n_r: int, kappa: int, p: int, rel_tol: float) -> float:
+    """Unnormalized Dirac moment integral over the density of `_rel_density`."""
+    density, nu, a = _rel_density(mu, n_r, kappa)
     return quad_semi_infinite(
-        integrand, 2.0 * nu + p, 2.0 * a, rel_tol,
+        lambda r: density(r) * np.power(r, p + 2.0), 2.0 * nu + p, 2.0 * a, rel_tol,
         polynomial_degree=2.0 * nu + 2 * n_r + p,
     ).value
 
@@ -386,6 +396,27 @@ def brute_screening(
         polynomial_degree=degree - 1.0,
     ).value
     return Z / r - (full - tail_charge) / r - tail_linear
+
+
+def brute_screening_rel(state, r: float, rel_tol: float = 1e-12) -> float:
+    """Screened potential (e/a0) at r (Bohr radii) of a nucleus Z plus the
+    electron of a Dirac state with |kappa| = 1, whose density is
+    spherical: `brute_screening` over the density of `_rel_density`,
+    normalized by its own quadrature.  The state object only needs Z, mu,
+    alpha_fs, n_r, kappa attributes; ValueError for |kappa| != 1.
+    """
+    mu, n_r, kappa = float(state.mu), int(state.n_r), int(state.kappa)
+    if abs(kappa) != 1:
+        raise ValueError(f"kappa={kappa}: only |kappa| = 1 densities are spherical")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    density, nu, a = _rel_density(mu, n_r, kappa)
+    norm = _rel_moment(mu, n_r, kappa, 0, rel_tol)
+    alpha = float(state.alpha_fs)
+    return brute_screening(
+        lambda s: density(s) / norm, float(state.Z), r / alpha, 2.0 * nu - 2.0,
+        2.0 * a, rel_tol, polynomial_degree=2 * n_r,
+    ) / alpha
 
 
 @lru_cache(maxsize=64)

@@ -59,6 +59,35 @@ def test_screening_csv_golden():
     assert float(lines[2].split(",")[1]) == pytest.approx(0.270671, abs=5e-7)
 
 
+# Dirac energy columns, cgs and natural-unit factors, and Dirac screening
+# rows; no oracle column, whose values depend on numpy
+@pytest.mark.parametrize("name, args", [
+    ("energy_rel_z92_cgs.csv",
+     ("energy", "--rel", "-Z", "92", "--nr-quantum", "1", "--kappa", "-2",
+      "--units", "cgs", "--format", "csv")),
+    ("expectation_nr_z2_natural.csv",
+     ("expectation", "--nr", "-Z", "2", "-n", "3", "-l", "1", "-m", "-1",
+      "--p-min", "-3", "--p-max", "2", "--units", "natural_compton", "--format", "csv")),
+    ("screening_rel_z80.jsonl",
+     ("screening", "--rel", "-Z", "80", "--radii", "0.01,0.5", "--units", "hartree_bohr")),
+])
+def test_unit_and_model_goldens(name, args):
+    assert run_cli(*args).stdout == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("args", [
+    # the Dirac moment itself is beyond binary64 range
+    ("expectation", "--rel", "-Z", "1", "--nr-quantum", "0", "--kappa", "-1", "-p", "150"),
+    # the moment is in range in a0^70, not in (hbar/mc)^70
+    ("expectation", "--nr", "-Z", "1", "-n", "12", "-p", "70", "--units", "natural_compton"),
+])
+def test_value_beyond_binary64_exits_1(args):
+    proc = run_cli(*args, expect_code=1)
+    assert proc.stderr.startswith("numerical failure:")
+    assert "exceeds binary64 range" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_energy_rel_epsilon_value():
     proc = run_cli("energy", "--rel", "-Z", "1", "--nr-quantum", "0", "--kappa", "-1")
     record = json.loads(proc.stdout)

@@ -11,6 +11,7 @@ from hahnium.hydrogen_nr import (
     NrState,
     energy_nr,
     expect_r_power_nr,
+    expect_recurrence_nr,
     inversion_check_nr,
     radial_nr,
     screening_nr,
@@ -197,3 +198,15 @@ def test_screening_domain_guard():
     for theta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="theta"):
             screening_nr(state, 1.0, theta)
+
+
+def test_moments_beyond_binary64_raise():
+    with pytest.raises(ArithmeticError, match="exceeds binary64 range"):
+        expect_r_power_nr(NrState(0.01, 10, 2), 69)
+    with pytest.raises(ArithmeticError, match="exceeds binary64 range"):
+        expect_recurrence_nr(NrState(1.0, 40, 3), 120)
+    # the float route refuses once its product (n/2Z)^p t_k overflows,
+    # before the division by 2n: here the moment itself, 7.2e307, is just
+    # in range, and the exact field, which has no range to leave, gives it
+    exact = expect_r_power_nr(NrState(Fraction(1, 100), 10, 2), 69).value
+    assert float(exact) == pytest.approx(7.165725118749522e307, rel=1e-15)

@@ -285,3 +285,20 @@ def test_moments_near_critical_charge_match_oracle(n_r, gap):
         got = expect_r_power_rel(state, p).value
         want = brute_expect_rel(state, p)
         assert abs(got - want) <= 1e-9 * abs(want), (n_r, gap, p)
+
+
+@pytest.mark.parametrize("z, n_r, kappa, p, want", [
+    # a binary64 term overflows to inf ...
+    (92.0, 0, -1, 97, 2.5329706926060186e+142),
+    # ... or two of them, of opposite signs, which fsum cannot add
+    (40.0, 5, -3, 93, 3.5101412896250976e+271),
+])
+def test_moments_past_binary64_terms_take_the_exact_route(z, n_r, kappa, p, want):
+    got = expect_r_power_rel(RelState(z, n_r, kappa), p)
+    assert got.cancellation_flag
+    assert abs(got.value - want) <= 1e-14 * want
+
+
+def test_moment_beyond_binary64_raises():
+    with pytest.raises(ArithmeticError, match="exceeds binary64 range"):
+        expect_r_power_rel(RelState(1.0, 0, -1), 150)

@@ -10,7 +10,13 @@ import hahnium.oracle as oracle
 from hahnium import hydrogen_nr
 from hahnium.angular import clebsch_gordan
 from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
-from hahnium.hydrogen_rel import RelState, expect_r_power_rel, expect_special_rel
+from hahnium.hydrogen_rel import (
+    RelState,
+    expect_r_power_rel,
+    expect_special_rel,
+    radial_rel,
+    screening_rel_1s,
+)
 from hahnium.oracle import (
     DEFAULT_BUDGET,
     G_WEIGHTS,
@@ -21,6 +27,7 @@ from hahnium.oracle import (
     brute_expect_rel,
     brute_screening,
     brute_screening_nr,
+    brute_screening_rel,
     quad_semi_infinite,
     sphere_quad,
 )
@@ -306,6 +313,42 @@ def test_brute_screening_nr_ground_state_and_refusals():
         brute_screening_nr(NrState(1.0, 2, 1), 0.0)
     with pytest.raises(ValueError):
         brute_screening_nr(NrState(1.0, 2, 1, 1), -1.0)
+
+
+def test_brute_screening_rel_matches_the_1s_closed_form():
+    # |diff| <= 1e-9 max(|V|, electron term), from r << 1/Z to r >> 1/Z
+    for z in (1.0, 20.0, 60.0, 80.0, 92.0, 120.0, 136.0):
+        for r in (1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0, 2.0):
+            want = screening_rel_1s(z, r)
+            got = brute_screening_rel(RelState(z, 0, -1), r)
+            assert abs(got - want) <= 1e-9 * max(abs(want), abs(z / r - want)), (z, r)
+
+
+def test_brute_screening_rel_matches_the_production_density():
+    # excited j = 1/2 states have no closed form: the oracle's own density
+    # against brute_screening over radial_rel's normalized F^2 + G^2
+    for n_r, kappa in ((1, -1), (1, 1), (3, -1), (3, 1)):
+        state = RelState(60.0, n_r, kappa)
+        alpha = state.alpha_fs
+
+        def density(s, state=state):
+            pair = radial_rel(state, s)
+            return pair.F**2 + pair.G**2
+
+        for r in (1e-3, 0.05, 0.5):
+            want = brute_screening(density, state.Z, r / alpha, 2.0 * state.nu - 2.0,
+                                   2.0 * state.a, 1e-12, 2 * n_r) / alpha
+            got = brute_screening_rel(state, r)
+            electron = state.Z / r - want
+            assert abs(got - want) <= 1e-9 * max(abs(want), abs(electron)), (n_r, kappa, r)
+
+
+def test_brute_screening_rel_refusals():
+    for kappa in (-2, 2):  # j >= 3/2: the density is not spherical
+        with pytest.raises(ValueError, match="spherical"):
+            brute_screening_rel(RelState(1.0, 1, kappa), 1.0)
+    with pytest.raises(ValueError):
+        brute_screening_rel(RelState(1.0, 0, -1), 0.0)
 
 
 def test_sphere_quad_polynomial_exactness():
