@@ -153,14 +153,19 @@ def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
     The argument n-l-1 carries the field into the series; the int
     prefactor (-1)^k (N-k)_k k!, ~(4l+1)! at k = 2l, meets k! and the
     exact ratio first: each alone leaves binary64 range for l >= 43.
+    Where the binary64 product t (n/2Z)^p overflows, t meets 1/(2n)
+    first, which keeps moments up to the largest double; every other
+    value keeps the rounding of dividing last.
     """
     n, l = state.n, state.l
     field = _field(state.Z)
     params = HahnParams(k, 0, 0, -(2 * l + 1))
     _, prefactor, series = _hahn_split(params, field(n - l - 1))
     t = field(prefactor // math.factorial(k) * ratio) * series
-    scale = n / (2 * field(state.Z))
-    return t * scale**p / (2 * n)
+    scale = (n / (2 * field(state.Z))) ** p
+    if field is float and not math.isfinite(t * scale):
+        return t / (2 * n) * scale
+    return t * scale / (2 * n)
 
 
 def expect_recurrence_nr(state: NrState, k_max: int) -> list:

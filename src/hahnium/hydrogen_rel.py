@@ -215,8 +215,10 @@ def _bracket(n: int, kappa: int, p: int, nu, mu, eps, a):
 
 
 def _sqrt_frac(x: Fraction) -> Fraction:
-    """sqrt(x) rounded down to 40 decimals: the denominator stays 10**40,
-    which keeps the exact bracket sums cheap."""
+    """sqrt(x) rounded down to 40 decimals.  The denominator stays
+    10**40, and the exact series, which multiply denominators without
+    reducing them, grow by about its 40 digits per term: a larger one
+    makes the exact bracket dearer in proportion."""
     scale = 10**40
     return Fraction(math.isqrt(x.numerator * scale * scale // x.denominator), scale)
 

@@ -8,8 +8,11 @@ Number fields: a closed form is evaluated exactly, over
 is the one place that applies this rule, and every closed form follows
 its answer through a single code path.  The one pair of entries that
 names its field instead, `hyp_terminating` and `hyp_terminating_exact`,
-converts its inputs to it and shares that path.  Compensated summation
-is for binary64 only; exact sums need none.
+converts its inputs to it.  Binary64 sums are compensated.  Exact sums
+run over integers: `hyp_terminating_exact` sums its series by Horner
+with one integer numerator and one integer denominator, and
+`pochhammer` forms its product over the numerator, so each exact value
+is normalized once, not once per term.
 """
 
 from __future__ import annotations
@@ -62,10 +65,17 @@ def pochhammer(a, n: int):
     """Rising factorial (a)_n = a(a+1)...(a+n-1) as an exact product.
 
     Returns 0 when a is a nonpositive integer with |a| < n.  The result
-    type follows `a`: int and Fraction inputs stay exact.
+    type follows `a`: int and Fraction inputs stay exact.  A Fraction
+    p/q gives prod (p + kq) over ints divided by q^n, normalized once.
     """
     if n < 0:
         raise ValueError(f"pochhammer requires n >= 0, got {n}")
+    if isinstance(a, Fraction):
+        p, q = a.as_integer_ratio()
+        top = 1
+        for k in range(n):
+            top *= p + k * q
+        return Fraction(top, q**n)
     result = a**0  # multiplicative unit in the type of a
     for k in range(n):
         result = result * (a + k)
@@ -119,13 +129,29 @@ class HypSeriesSpec:
         return min(stops)
 
 
-def _hyp_sum(spec: HypSeriesSpec, field: type):
-    """The terminating series summed in `field` (float or Fraction)."""
+def _int_pair(x) -> tuple[int, int]:
+    """x as (numerator, denominator) in lowest terms, exactly; anything
+    `Fraction` takes (a numpy integer has no `as_integer_ratio`)."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return Fraction(x).as_integer_ratio()
+
+
+def _pole_error(b, k: int, order: int) -> ValueError:
+    return ValueError(
+        f"denominator parameter {b} hits a pole at index {k + 1} "
+        f"before termination at {order}"
+    )
+
+
+def _hyp_sum(spec: HypSeriesSpec) -> float:
+    """The terminating series as a compensated binary64 forward sum."""
     order = spec.termination_index()
-    nums = [field(a) for a in spec.numerator_params]
-    dens = [field(b) for b in spec.denominator_params]
-    z = field(spec.argument)
-    term = field(1)
+    nums = [float(a) for a in spec.numerator_params]
+    dens = [float(b) for b in spec.denominator_params]
+    z = float(spec.argument)
+    term = 1.0
     terms = [term]
     for k in range(order):
         ratio = z / (k + 1)
@@ -134,24 +160,48 @@ def _hyp_sum(spec: HypSeriesSpec, field: type):
         for b in dens:
             factor = b + k
             if factor == 0:
-                raise ValueError(
-                    f"denominator parameter {b} hits a pole at index {k + 1} "
-                    f"before termination at {order}"
-                )
+                raise _pole_error(b, k, order)
             ratio /= factor
         term *= ratio
         terms.append(term)
-    return _compensated_sum(terms) if field is float else sum(terms)
+    return _compensated_sum(terms)
 
 
 def hyp_terminating(spec: HypSeriesSpec) -> float:
     """Terminating series value in binary64 with compensated accumulation."""
-    return _hyp_sum(spec, float)
+    return _hyp_sum(spec)
 
 
 def hyp_terminating_exact(spec: HypSeriesSpec) -> Fraction:
-    """Terminating series value over Fraction (parameters must be rational)."""
-    return _hyp_sum(spec, Fraction)
+    """Terminating series value as a Fraction (parameters must be rational;
+    a float is taken at its exact binary value).
+
+    Each parameter p/q enters the term ratio as (p + kq)/q, so the sum
+    1 + r_0 (1 + r_1 (1 + ... r_{N-1})) runs by Horner, last term first,
+    on one integer numerator and one integer denominator, and the
+    Fraction is normalized once at the end.
+    """
+    order = spec.termination_index()
+    nums = [_int_pair(a) for a in spec.numerator_params]
+    dens = [_int_pair(b) for b in spec.denominator_params]
+    z_top, z_bottom = _int_pair(spec.argument)
+    # (p + kq) vanishes for k >= 0 only at an integer p/q = -k (q = 1)
+    poles = [-p for p, q in dens if q == 1 and -order < p <= 0]
+    if poles:
+        k = min(poles)
+        raise _pole_error(-k, k, order)
+    up_const = z_top * math.prod(q for _, q in dens)
+    down_const = z_bottom * math.prod(q for _, q in nums)
+    top = bottom = 1
+    for k in reversed(range(order)):
+        up = up_const
+        for p, q in nums:
+            up *= p + k * q
+        down = down_const * (k + 1)
+        for p, q in dens:
+            down *= p + k * q
+        top, bottom = down * bottom + up * top, down * bottom
+    return Fraction(top, bottom)
 
 
 def _hyp_in(field: type, spec: HypSeriesSpec):

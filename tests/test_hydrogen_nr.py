@@ -201,12 +201,13 @@ def test_screening_domain_guard():
 
 
 def test_moments_beyond_binary64_raise():
+    # 7.2e307 is in range although the product (n/2Z)^p t_k, before its
+    # division by 2n, is not: the float route divides first there
+    exact = expect_r_power_nr(NrState(Fraction(1, 100), 10, 2), 69).value
+    got = expect_r_power_nr(NrState(0.01, 10, 2), 69).value
+    assert got == pytest.approx(float(exact), rel=1e-15)
+    assert float(exact) == pytest.approx(7.165725118749522e307, rel=1e-15)
     with pytest.raises(ArithmeticError, match="exceeds binary64 range"):
-        expect_r_power_nr(NrState(0.01, 10, 2), 69)
+        expect_r_power_nr(NrState(0.01, 10, 2), 70)
     with pytest.raises(ArithmeticError, match="exceeds binary64 range"):
         expect_recurrence_nr(NrState(1.0, 40, 3), 120)
-    # the float route refuses once its product (n/2Z)^p t_k overflows,
-    # before the division by 2n: here the moment itself, 7.2e307, is just
-    # in range, and the exact field, which has no range to leave, gives it
-    exact = expect_r_power_nr(NrState(Fraction(1, 100), 10, 2), 69).value
-    assert float(exact) == pytest.approx(7.165725118749522e307, rel=1e-15)

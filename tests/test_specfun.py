@@ -28,6 +28,8 @@ def test_pochhammer_small_values():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
     assert pochhammer(-2, 3) == 0  # hits zero inside the product
     assert pochhammer(-2, 2) == (-2) * (-1)
+    empty = pochhammer(Fraction(1, 3), 0)
+    assert empty == 1 and type(empty) is Fraction
     with pytest.raises(ValueError):
         pochhammer(1, -1)
 
@@ -89,8 +91,66 @@ def test_termination_requires_nonpositive_numerator():
 
 def test_denominator_pole_before_termination_raises():
     # (b)_k crosses zero at k = 2 while the series wants 4 terms
-    with pytest.raises(ValueError):
+    message = "denominator parameter -2{} hits a pole at index 3 before termination at 4"
+    with pytest.raises(ValueError, match=message.format(r"\.0")):
         hyp_terminating(HypSeriesSpec((-4, 1.0), (-2.0,), 1))
+    with pytest.raises(ValueError, match=message.format("")):
+        hyp_terminating_exact(HypSeriesSpec((-4, 1), (Fraction(1, 2), -2), 1))
+
+
+def test_exact_series_takes_every_rational_type():
+    # a numpy integer converts through Fraction, as a Python int does
+    import numpy as np
+
+    want = hyp_terminating_exact(HypSeriesSpec((-3, 2), (Fraction(5, 2),), -1))
+    got = hyp_terminating_exact(
+        HypSeriesSpec((np.int64(-3), np.int64(2)), (Fraction(5, 2),), np.int64(-1))
+    )
+    assert got == want and type(got) is Fraction
+
+
+def _forward_fraction_sum(numerators, denominators, z, stop):
+    """sum_{k <= stop} of the series' terms, each from the one before,
+    over Fraction: the plain reference for the exact kernel."""
+    nums = [Fraction(a) for a in numerators]
+    dens = [Fraction(b) for b in denominators]
+    term = total = Fraction(1)
+    for k in range(stop):
+        for a in nums:
+            term *= a + k
+        for b in dens:
+            term /= b + k
+        term *= Fraction(z) / (k + 1)
+        total += term
+    return total
+
+
+_PARAMS = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.floats(min_value=-6, max_value=6),
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.lists(_PARAMS, max_size=2),
+    st.lists(
+        _PARAMS.filter(lambda b: b > 0 or Fraction(b).denominator != 1), max_size=3
+    ),
+    st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=7),
+        st.floats(min_value=-4, max_value=4),
+    ),
+    st.none() | st.integers(min_value=0, max_value=10),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_series_matches_forward_fraction_sum(n, nums, dens, z, early):
+    # -early, when drawn, is a second nonpositive integer numerator: for
+    # early < n its zero ends the series before -n would
+    numerators = (-n, *nums) if early is None else (-n, *nums, -early)
+    got = hyp_terminating_exact(HypSeriesSpec(numerators, dens, z))
+    assert type(got) is Fraction
+    assert got == _forward_fraction_sum(numerators, dens, z, n)
 
 
 def test_inc_gamma_upper_reference_points():
