@@ -125,7 +125,7 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
     p >= -1 evaluates t_{p+1}(n-l-1, -2l-1); p <= -2 evaluates
     t_{-p-2}(n-l-1, -2l-1) times the inversion ratio (2l-k)!/(2l+k+1)!,
     admissible down to p = -2l-2.  ArithmeticError where the binary64
-    product (n/2Z)^p t_k leaves the range.
+    moment leaves the range.
     """
     l = state.l
     if p >= -1:
