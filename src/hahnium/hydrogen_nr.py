@@ -144,7 +144,7 @@ def expect_r_power_nr(state: NrState, p: int) -> Expectation:
 
 def _inversion_ratio(l: int, k: int) -> Fraction:
     """(2l-k)!/(2l+k+1)!, the factor tying <1/r^{k+2}> to <r^{k-1}>."""
-    return Fraction(math.factorial(2 * l - k), math.factorial(2 * l + k + 1))
+    return Fraction(1, math.perm(2 * l + k + 1, 2 * k + 1))
 
 
 def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
@@ -153,17 +153,30 @@ def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
     The argument n-l-1 carries the field into the series; the int
     prefactor (-1)^k (N-k)_k k!, ~(4l+1)! at k = 2l, meets k! and the
     exact ratio first: each alone leaves binary64 range for l >= 43.
-    Where the binary64 product t (n/2Z)^p overflows, t meets 1/(2n)
-    first, which keeps moments up to the largest double; every other
-    value keeps the rounding of dividing last.
+    In the exact field the quotient by k!, the ratio, the series, the
+    scale (n z_den)^p / (2 z_num)^p with Z = z_num/z_den, and 1/(2n)
+    are multiplied as one integer numerator and one integer denominator,
+    and the Fraction is normalized once.  Where the binary64 product
+    t (n/2Z)^p overflows, t meets 1/(2n) first, which keeps moments up
+    to the largest double; every other value keeps the rounding of
+    dividing last.
     """
     n, l = state.n, state.l
     field = _field(state.Z)
     params = HahnParams(k, 0, 0, -(2 * l + 1))
     _, prefactor, series = _hahn_split(params, field(n - l - 1))
-    t = field(prefactor // math.factorial(k) * ratio) * series
+    lead = prefactor // math.factorial(k)
+    if field is Fraction:
+        z_num, z_den = state.Z.as_integer_ratio()
+        up, down = (n * z_den) ** abs(p), (2 * z_num) ** abs(p)
+        if p < 0:
+            up, down = down, up
+        r_num, r_den = ratio.as_integer_ratio()
+        s_num, s_den = series.as_integer_ratio()
+        return Fraction(lead * r_num * s_num * up, r_den * s_den * down * 2 * n)
+    t = field(lead * ratio) * series
     scale = (n / (2 * field(state.Z))) ** p
-    if field is float and not math.isfinite(t * scale):
+    if not math.isfinite(t * scale):
         return t / (2 * n) * scale
     return t * scale / (2 * n)
 

@@ -37,6 +37,7 @@ from .specfun import (
     HypSeriesSpec,
     _field,
     _hyp_in,
+    _int_pair,
     _integer_value,
     hyp_terminating_exact,
     pochhammer,
@@ -160,10 +161,13 @@ def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
         steps, series = spec.n, _series_direct(spec)
     else:
         steps, series = spec.n - spec.m, _series_transformed(spec)
-    scale = Fraction(math.factorial(total.numerator) * pochhammer(beta + 1, spec.m))
-    scale *= pochhammer(s - steps + 1, steps)
-    scale /= math.factorial(steps) * math.factorial(spec.m)
-    return (-1 if steps % 2 else 1) * scale * hyp_terminating_exact(series)
+    # the scale and the series meet as one integer pair, normalized once
+    rise_num, rise_den = _int_pair(pochhammer(beta + 1, spec.m))
+    fall_num, fall_den = _int_pair(pochhammer(s - steps + 1, steps))
+    sum_num, sum_den = _int_pair(hyp_terminating_exact(series))
+    top = math.factorial(total.numerator) * rise_num * fall_num * sum_num
+    bottom = math.factorial(steps) * math.factorial(spec.m) * rise_den * fall_den
+    return Fraction(-top if steps % 2 else top, bottom * sum_den)
 
 
 def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
@@ -205,6 +209,23 @@ def _linearization_single(n: int, m: int, p: int, alpha: Real, field: type) -> R
     lead = pochhammer(-p, n - m)  # kills p < n - m
     if lead == 0:
         return field(0)
+    if field is Fraction:
+        a, b = alpha.as_integer_ratio()
+        # total / den and coeff / den as in the binary64 sum below; a zero
+        # (alpha+1+k) zeroes den, and Fraction raises ZeroDivisionError
+        total, coeff, den = 0, 1, 1
+        for k in range(min(p, m) + 1):
+            gap = n - m - p + 2 * k
+            if gap >= 0:
+                total += coeff * math.perm(2 * k, 2 * k - gap)
+            step = (k + 1) * (a + b * (1 + k))
+            coeff *= (k - p) * (k - m) * b
+            total *= step
+            den *= step
+        # (alpha+1)_m = prod (a + b(1+j)) / b^m
+        top = lead * math.prod(a + b * (1 + j) for j in range(m)) * total
+        bottom = b**m * math.factorial(p) * math.factorial(m) * den
+        return Fraction(-top if p % 2 else top, bottom)
     total = field(0)
     coeff = field(1)  # (-p)_k (-m)_k / (k! (alpha+1)_k)
     for k in range(min(p, m) + 1):
@@ -223,7 +244,11 @@ def linearization_coeffs(n: int, m: int, alpha: Real) -> LinearizationTriple:
     """All linearization coefficients of L_n^alpha L_m^alpha, n >= m.
 
     Single finite sum per coefficient; exact Fractions for int/Fraction
-    alpha, floats otherwise.
+    alpha, floats otherwise.  With alpha = a/b the exact sum runs over
+    integers: the term ratio (k-p)(k-m) b / ((k+1)(a + b(1+k))) and
+    (2k)!/(n-m-p+2k)! accumulate on one numerator over one running
+    denominator, the prefactor joins them, and each coefficient is
+    normalized once.
     """
     if m < 0 or n < m:
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
@@ -260,12 +285,21 @@ def linearization_closed_form(n: int, m: int, p: int, alpha: Real) -> Real:
     half = field(1) / 2
     sign = -1 if p % 2 else 1
     k0 = (gap + 1) // 2
-    pref = field(pochhammer(-p, n - m) * pochhammer(-p, k0) * pochhammer(-m, k0))
-    pref /= math.factorial(p) * math.factorial(m)
-    pref *= field(math.factorial(2 * k0) // math.factorial(k0))
-    pref *= pochhammer(alpha + k0 + 1, m - k0)
+    lead = pochhammer(-p, n - m) * pochhammer(-p, k0) * pochhammer(-m, k0)
+    duplication = math.factorial(2 * k0) // math.factorial(k0)
+    shift = alpha + k0 + 1
+    rise = pochhammer(shift, m - k0)
     series = HypSeriesSpec(
-        (k0 - p, k0 - m, k0 + half),
-        (half if gap % 2 == 0 else 3 * half, alpha + k0 + 1),
+        (k0 - p, k0 - m, k0 + half), (half if gap % 2 == 0 else 3 * half, shift)
     )
+    if field is Fraction:
+        # the prefactor and the series meet as one integer pair
+        rise_num, rise_den = rise.as_integer_ratio()
+        sum_num, sum_den = _hyp_in(field, series).as_integer_ratio()
+        top = sign * lead * duplication * rise_num * sum_num
+        bottom = math.factorial(p) * math.factorial(m) * rise_den * sum_den
+        return Fraction(top, bottom)
+    pref = field(lead) / (math.factorial(p) * math.factorial(m))
+    pref *= field(duplication)
+    pref *= rise
     return sign * pref * _hyp_in(field, series)

@@ -5,7 +5,9 @@ an endpoint singularity, bound-state moment and screening oracles
 assembled directly from wavefunction shapes, and a product sphere
 quadrature.  Nothing here calls the closed-form modules it validates:
 the only internal imports are the polynomial primitives needed to
-evaluate integrands, and the relativistic density is built from the
+evaluate integrands (Laguerre, and the normalized associated Legendre
+recurrence behind `angular.spherical_harmonic`, which production
+screening does not use), and the relativistic density is built from the
 traditional radial form rather than the production one.  Every oracle
 column of the command line comes from this module alone, so a fault in
 a closed form cannot show in both columns.
@@ -20,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .angular import _normalized_legendre
 from .orthopoly import LaguerreSpec, laguerre
 
 __all__ = [
@@ -468,17 +471,29 @@ def _nr_multipoles(z: float, n: int, l: int, r: float, rel_tol: float) -> tuple:
 
 def _angular_weights(l: int, m: int, theta: float) -> list:
     """[w_L] for even L <= 2l: the mean of P_L(cos t) over the angular
-    density |Y_lm(t)|^2 times P_L(cos theta).  |Y_lm|^2 is proportional to
-    (1-x^2)^m (d^m P_l/dx^m)^2 in x = cos t, a polynomial of degree 2l,
-    so 2l+1 Gauss-Legendre nodes in x integrate it times P_L exactly; the
-    normalization is that same sum at L = 0."""
-    legendre = np.polynomial.legendre.Legendre.basis
-    x, weights = _gauss_legendre(2 * l + 1)
-    density = weights * (1.0 - x * x) ** abs(m) * legendre(l).deriv(abs(m))(x) ** 2
+    density |Y_lm(t)|^2 times P_L(cos theta).  |Y_lm|^2 is a polynomial
+    of degree 2l in x = cos t, so 2l+1 Gauss-Legendre nodes in x integrate
+    it times P_L exactly; the normalization is that same sum at L = 0.
+    One Legendre three-term recurrence, run at the nodes and at cos theta,
+    gives every P_L and the Gauss weights 2 / ((1-x^2) P'(x)^2) (numpy's
+    own weights are off by 3e-11 relative at 201 nodes).  The density at
+    the nodes is the square of the normalized associated Legendre
+    recurrence: no factorial and no power-basis derivative, which loses
+    every digit by l = 100."""
+    count = 2 * l + 1
+    x, _ = _gauss_legendre(count)
+    points = np.append(x, math.cos(theta))
+    rows = [np.ones_like(points), points]  # P_0, P_1, ..., P_count
+    for k in range(1, count):
+        rows.append(((2 * k + 1) * points * rows[k] - k * rows[k - 1]) / (k + 1))
+    sine_sq = (1.0 - x) * (1.0 + x)  # 1 - x*x loses digits next to +-1
+    slope = count * (rows[count - 1][:-1] - x * rows[count][:-1]) / sine_sq
+    density = np.array([_normalized_legendre(l, abs(m), t) for t in x]) ** 2
+    density *= 2.0 / (sine_sq * slope * slope)
     density /= density.sum()
     return [
-        float(density @ legendre(big_l)(x)) * float(legendre(big_l)(math.cos(theta)))
-        for big_l in range(0, 2 * l + 1, 2)
+        float(density @ rows[big_l][:-1]) * float(rows[big_l][-1])
+        for big_l in range(0, count, 2)
     ]
 
 

@@ -6,13 +6,17 @@ Number fields: a closed form is evaluated exactly, over
 `fractions.Fraction`, if and only if every numeric input is an `int`
 (not `bool`) or a `Fraction`; otherwise it runs in binary64.  `_field`
 is the one place that applies this rule, and every closed form follows
-its answer through a single code path.  The one pair of entries that
-names its field instead, `hyp_terminating` and `hyp_terminating_exact`,
-converts its inputs to it.  Binary64 sums are compensated.  Exact sums
-run over integers: `hyp_terminating_exact` sums its series by Horner
-with one integer numerator and one integer denominator, and
-`pochhammer` forms its product over the numerator, so each exact value
-is normalized once, not once per term.
+its answer.  The one pair of entries that names its field instead,
+`hyp_terminating` and `hyp_terminating_exact`, converts its inputs to
+it.  Binary64 sums are compensated.  The exact field is carried over
+integers where the work is: `hyp_terminating_exact` sums its series by
+Horner with one integer numerator and one integer denominator,
+`pochhammer` forms its product over the numerator, and the NR moment
+(`hydrogen_nr._chebyshev_moment`), `orthopoly.hahn`, the linearization
+sum and the prefactors in `laguerre_integrals` join their factors as
+one integer pair in an exact branch beside their binary64 one.  So each
+exact value is normalized once where it is returned, not once per
+operation.
 """
 
 from __future__ import annotations

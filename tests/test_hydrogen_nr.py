@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hahnium import hydrogen_nr
 from hahnium.hydrogen_nr import (
@@ -17,6 +19,7 @@ from hahnium.hydrogen_nr import (
     screening_nr,
 )
 from hahnium.oracle import brute_expect_nr, brute_screening_nr, quad_semi_infinite
+from hahnium.specfun import HypSeriesSpec, hyp_terminating_exact, pochhammer
 
 
 def test_state_validation():
@@ -86,6 +89,55 @@ def test_inversion_relation_exact():
             assert lhs == rhs
     with pytest.raises(ValueError):
         inversion_check_nr(NrState(Fraction(1), 2, 1), 3)
+
+
+def _fraction_moment(z, n: int, l: int, p: int, scale_power=None) -> Fraction:
+    """ratio t_k(n-l-1, -2l-1) (n/2Z)^q / (2n), q = p unless given, one
+    Fraction operation at a time; t_k = (-1)^k (N-k)_k 3F2(-k, k+1,
+    -(n-l-1); 1, 1-N; 1) with N = -2l-1."""
+    if p >= -1:
+        k, ratio = p + 1, Fraction(1)
+    else:
+        k = -p - 2
+        ratio = Fraction(math.factorial(2 * l - k), math.factorial(2 * l + k + 1))
+    big_n = -(2 * l + 1)
+    series = hyp_terminating_exact(
+        HypSeriesSpec((-k, k + 1, -(n - l - 1)), (1, 1 - big_n), 1)
+    )
+    t = Fraction((-1) ** k * pochhammer(big_n - k, k)) * series
+    q = p if scale_power is None else scale_power
+    return ratio * t * (Fraction(n) / (2 * Fraction(z))) ** q / (2 * n)
+
+
+_CHARGES = st.one_of(
+    st.integers(min_value=1, max_value=120),
+    st.fractions(min_value=Fraction(1, 40), max_value=120, max_denominator=40),
+)
+
+
+@given(_CHARGES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_moments_match_plain_fraction_formula(z, data):
+    n = data.draw(st.integers(min_value=1, max_value=14), label="n")
+    l = data.draw(st.integers(min_value=0, max_value=n - 1), label="l")
+    p = data.draw(st.integers(min_value=-2 * l - 4, max_value=24), label="p")
+    state = NrState(z, n, l)
+    if p < -2 * l - 2:
+        with pytest.raises(ValueError):
+            expect_r_power_nr(state, p)
+    else:
+        got = expect_r_power_nr(state, p).value
+        assert type(got) is Fraction and got == _fraction_moment(z, n, l, p)
+    k = data.draw(st.integers(min_value=-1, max_value=2 * l + 1), label="k")
+    if not 0 <= k <= 2 * l:
+        with pytest.raises(ValueError):
+            inversion_check_nr(state, k)
+        return
+    lhs, rhs = inversion_check_nr(state, k)
+    factor = (2 * Fraction(z) / n) ** (2 * k + 1)
+    want_rhs = factor * _fraction_moment(z, n, l, -(k + 2), scale_power=k - 1)
+    assert type(lhs) is Fraction and lhs == _fraction_moment(z, n, l, -(k + 2))
+    assert type(rhs) is Fraction and rhs == want_rhs
 
 
 def test_moment_domain_guard():

@@ -1,9 +1,12 @@
 """Master-integral checks: closed forms against quadrature and each other."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hahnium.laguerre_integrals import (
     JSpec,
@@ -15,6 +18,7 @@ from hahnium.laguerre_integrals import (
 )
 from hahnium.oracle import quad_semi_infinite
 from hahnium.orthopoly import LaguerreSpec, laguerre
+from hahnium.specfun import pochhammer
 
 
 def _quad_reference(spec: JSpec) -> float:
@@ -121,6 +125,46 @@ def test_linearization_closed_form_matches_sum_form():
                 for p in range(0, n + m + 2):
                     want = triple.coefficient(p) if triple.p_min <= p <= triple.p_max else Fraction(0)
                     assert linearization_closed_form(n, m, p, alpha) == want, (n, m, p)
+
+
+def _fraction_linearization(n: int, m: int, p: int, alpha: Fraction) -> Fraction:
+    """c_p of L_n^alpha L_m^alpha as the direct Fraction sum (-1)^p
+    (-p)_(n-m) (alpha+1)_m / (p! m!) sum_k (-p)_k (-m)_k (2k)! /
+    (k! (alpha+1)_k (n-m-p+2k)!), one Fraction operation at a time."""
+    total = Fraction(0)
+    for k in range(min(p, m) + 1):
+        gap = n - m - p + 2 * k
+        if gap >= 0:
+            term = Fraction(pochhammer(-p, k) * pochhammer(-m, k), math.factorial(k))
+            term /= pochhammer(alpha + 1, k)
+            total += term * math.factorial(2 * k) / math.factorial(gap)
+    pref = pochhammer(-p, n - m) * pochhammer(alpha + 1, m)
+    pref /= math.factorial(p) * math.factorial(m)
+    return (-1) ** p * pref * total
+
+
+_ALPHAS = st.one_of(
+    st.integers(min_value=0, max_value=9),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=40), st.integers(2, 7)),
+    st.fractions(min_value=-1, max_value=0, max_denominator=12),
+).filter(lambda a: a > -1)
+
+
+@given(st.integers(min_value=0, max_value=10), st.data(), _ALPHAS)
+@settings(max_examples=150, deadline=None)
+def test_exact_linearization_matches_direct_fraction_sum(n, data, alpha):
+    m = data.draw(st.integers(min_value=0, max_value=n), label="m")
+    triple = linearization_coeffs(n, m, alpha)
+    for p, got in zip(range(n - m, n + m + 1), triple.coefficients):
+        assert type(got) is Fraction, (n, m, p)
+        assert got == _fraction_linearization(n, m, p, Fraction(alpha)), (n, m, p)
+
+
+def test_exact_linearization_at_a_pole_raises():
+    # (alpha+1+k) = 0 inside the sum: ZeroDivisionError, as a Fraction gives
+    for alpha in (-1, Fraction(-2), Fraction(-3, 1)):
+        with pytest.raises(ZeroDivisionError):
+            linearization_coeffs(3, 2, alpha)
 
 
 def test_linearization_sign_pattern():

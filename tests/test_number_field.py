@@ -69,6 +69,9 @@ def test_float_inputs_never_reach_the_fraction_series(no_exact_series):
 EXACT_CASES = {
     "energy_nr": lambda: energy_nr(NrState(Fraction(3, 2), 3, 1)),
     "expect_r_power_nr": lambda: expect_r_power_nr(NrState(2, 4, 2), -4),
+    "expect_r_power_nr, negative power, Fraction Z": lambda: expect_r_power_nr(
+        NrState(Fraction(7, 3), 5, 3), -7
+    ),
     "expect_recurrence_nr": lambda: expect_recurrence_nr(
         NrState(Fraction(5, 3), 3, 1), 3
     ),
@@ -79,6 +82,9 @@ EXACT_CASES = {
         2, 1, Fraction(1, 3), -8, 2, Fraction(1, 5), Fraction(-2, 7)
     ),
     "linearization_coeffs": lambda: linearization_coeffs(3, 2, Fraction(1, 2)),
+    "linearization_coeffs, negative alpha": lambda: linearization_coeffs(
+        4, 3, Fraction(-2, 3)
+    ),
     "linearization_closed_form": lambda: linearization_closed_form(3, 2, 4, 2),
     "j_integral_exact": lambda: j_integral_exact(JSpec(4, 2, 3, 1, 1)),
     "j_diag_positive_exact": lambda: j_diag_positive_exact(6, 3, 5),

@@ -8,7 +8,7 @@ import pytest
 
 import hahnium.oracle as oracle
 from hahnium import hydrogen_nr
-from hahnium.angular import clebsch_gordan
+from hahnium.angular import clebsch_gordan, clebsch_gordan_exact
 from hahnium.hydrogen_nr import NrState, expect_r_power_nr, screening_nr
 from hahnium.hydrogen_rel import (
     RelState,
@@ -301,6 +301,29 @@ def test_screening_angular_weights_are_the_clebsch_gordan_pair():
                     assert abs(kept[big_l] - want) <= 1e-14, (l, m, big_l)
                 else:
                     assert abs(want) <= 1e-15, (l, m, big_l)
+    # and the exact Racah values up to l = 100 at every |m| (numpy's
+    # power-basis derivative and Gauss weights were off by up to 0.56);
+    # every sixteenth even L, and the last
+    for l in (40, 100):
+        evens = list(range(0, 2 * l + 1, 2))
+        sampled = sorted(set(evens[::16]) | {2 * l})
+        pair = {big_l: clebsch_gordan_exact(l, 0, big_l, 0, l, 0) for big_l in sampled}
+        for m in range(l + 1):
+            weights = oracle._angular_weights(l, m, 0.0)
+            for big_l in sampled:
+                sign, square = clebsch_gordan_exact(l, m, big_l, 0, l, m)
+                want = sign * pair[big_l][0] * math.sqrt(square * pair[big_l][1])
+                assert abs(weights[big_l // 2] - want) <= 1e-14, (l, m, big_l)
+
+
+def test_brute_screening_nr_right_at_large_l_and_m():
+    # (n, l, m) = (101, 100, 50): the oracle's old angular weights put
+    # rel_diff at 0.015 and 1.07 here
+    state = NrState(1.0, 101, 100, 50)
+    for r in (3000.0, 12000.0):
+        want = screening_nr(state, r, 0.4)
+        got = brute_screening_nr(state, r, 0.4)
+        assert abs(got - want) <= 1e-10 * abs(want), r
 
 
 def test_brute_screening_nr_ground_state_and_refusals():
