@@ -22,7 +22,7 @@ from typing import Union
 
 from .angular import clebsch_gordan
 from .orthopoly import HahnParams, LaguerreSpec, _hahn_split, laguerre, legendre
-from .specfun import _field
+from .specfun import _field, _quotient
 
 __all__ = [
     "NrState",
@@ -155,11 +155,10 @@ def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
     exact ratio first: each alone leaves binary64 range for l >= 43.
     In the exact field the quotient by k!, the ratio, the series, the
     scale (n z_den)^p / (2 z_num)^p with Z = z_num/z_den, and 1/(2n)
-    are multiplied as one integer numerator and one integer denominator,
-    and the Fraction is normalized once.  Where the binary64 product
-    t (n/2Z)^p overflows, t meets 1/(2n) first, which keeps moments up
-    to the largest double; every other value keeps the rounding of
-    dividing last.
+    are joined by `specfun._quotient`, normalized once.  Where the
+    binary64 product t (n/2Z)^p overflows, t meets 1/(2n) first, which
+    keeps moments up to the largest double; every other value keeps the
+    rounding of dividing last.
     """
     n, l = state.n, state.l
     field = _field(state.Z)
@@ -171,9 +170,7 @@ def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
         up, down = (n * z_den) ** abs(p), (2 * z_num) ** abs(p)
         if p < 0:
             up, down = down, up
-        r_num, r_den = ratio.as_integer_ratio()
-        s_num, s_den = series.as_integer_ratio()
-        return Fraction(lead * r_num * s_num * up, r_den * s_den * down * 2 * n)
+        return _quotient((lead, ratio, series, up), (down, 2 * n))
     t = field(lead * ratio) * series
     scale = (n / (2 * field(state.Z))) ** p
     if not math.isfinite(t * scale):

@@ -37,8 +37,8 @@ from .specfun import (
     HypSeriesSpec,
     _field,
     _hyp_in,
-    _int_pair,
     _integer_value,
+    _quotient,
     hyp_terminating_exact,
     pochhammer,
 )
@@ -161,13 +161,13 @@ def j_integral_exact(spec: JSpec, route: str = "auto") -> Fraction:
         steps, series = spec.n, _series_direct(spec)
     else:
         steps, series = spec.n - spec.m, _series_transformed(spec)
-    # the scale and the series meet as one integer pair, normalized once
-    rise_num, rise_den = _int_pair(pochhammer(beta + 1, spec.m))
-    fall_num, fall_den = _int_pair(pochhammer(s - steps + 1, steps))
-    sum_num, sum_den = _int_pair(hyp_terminating_exact(series))
-    top = math.factorial(total.numerator) * rise_num * fall_num * sum_num
-    bottom = math.factorial(steps) * math.factorial(spec.m) * rise_den * fall_den
-    return Fraction(-top if steps % 2 else top, bottom * sum_den)
+    ups = (
+        (-1) ** steps * math.factorial(total.numerator),
+        pochhammer(beta + 1, spec.m),
+        pochhammer(s - steps + 1, steps),
+        hyp_terminating_exact(series),
+    )
+    return _quotient(ups, (math.factorial(steps), math.factorial(spec.m)))
 
 
 def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
@@ -182,8 +182,8 @@ def j_diag_positive_exact(n: int, alpha: int, k: int) -> Fraction:
     if k < 0:
         raise ValueError("k must be a nonnegative integer")
     alpha = int(alpha)
-    norm = Fraction(math.factorial(alpha + n), math.factorial(n))
-    return norm * chebyshev_discrete(k, n, -alpha)
+    ups = (math.factorial(alpha + n), chebyshev_discrete(k, n, -alpha))
+    return _quotient(ups, (math.factorial(n),))
 
 
 def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
@@ -199,56 +199,45 @@ def j_diag_negative_exact(n: int, alpha: int, k: int) -> Fraction:
     if not 0 <= k < alpha:
         raise ValueError("need 0 <= k < alpha")
     alpha = int(alpha)
-    norm = Fraction(
-        math.factorial(alpha + n), math.factorial(n) * pochhammer(alpha - k, 2 * k + 1)
-    )
-    return norm * chebyshev_discrete(k, n, -alpha)
+    ups = (math.factorial(alpha + n), chebyshev_discrete(k, n, -alpha))
+    return _quotient(ups, (math.factorial(n), pochhammer(alpha - k, 2 * k + 1)))
 
 
 def _linearization_single(n: int, m: int, p: int, alpha: Real, field: type) -> Real:
-    lead = pochhammer(-p, n - m)  # kills p < n - m
-    if lead == 0:
-        return field(0)
-    if field is Fraction:
-        a, b = alpha.as_integer_ratio()
-        # total / den and coeff / den as in the binary64 sum below; a zero
-        # (alpha+1+k) zeroes den, and Fraction raises ZeroDivisionError
-        total, coeff, den = 0, 1, 1
-        for k in range(min(p, m) + 1):
-            gap = n - m - p + 2 * k
-            if gap >= 0:
-                total += coeff * math.perm(2 * k, 2 * k - gap)
-            step = (k + 1) * (a + b * (1 + k))
-            coeff *= (k - p) * (k - m) * b
-            total *= step
-            den *= step
-        # (alpha+1)_m = prod (a + b(1+j)) / b^m
-        top = lead * math.prod(a + b * (1 + j) for j in range(m)) * total
-        bottom = b**m * math.factorial(p) * math.factorial(m) * den
-        return Fraction(-top if p % 2 else top, bottom)
-    total = field(0)
-    coeff = field(1)  # (-p)_k (-m)_k / (k! (alpha+1)_k)
+    """c_p for n - m <= p <= n + m, summed over integers at alpha = a/b."""
+    a, b = alpha.as_integer_ratio()
+    # coeff / den is (-p)_k (-m)_k / (k! (alpha+1)_k) and total / den the
+    # running sum; gap < 0 puts the term's reciprocal gamma at a pole, so
+    # the term vanishes, which enforces 2k >= p - n + m.  A zero
+    # (alpha+1+k) zeroes den, and the division raises ZeroDivisionError.
+    total, coeff, den = 0, 1, 1
     for k in range(min(p, m) + 1):
         gap = n - m - p + 2 * k
-        # gap < 0 means the reciprocal gamma of the term is at a pole: the
-        # term vanishes, which is what enforces 2k >= p - n + m.
         if gap >= 0:
-            total += coeff * math.factorial(2 * k) / math.factorial(gap)
-        coeff = coeff * ((k - p) * (k - m)) / ((k + 1) * (alpha + 1 + k))
-    pref = field(lead * pochhammer(alpha + 1, m))
-    pref /= math.factorial(p) * math.factorial(m)
-    return -pref * total if p % 2 else pref * total
+            total += coeff * math.perm(2 * k, 2 * k - gap)
+        step = (k + 1) * (a + b * (1 + k))
+        coeff *= (k - p) * (k - m) * b
+        total *= step
+        den *= step
+    # (alpha+1)_m = prod (a + b(1+j)) / b^m
+    top = pochhammer(-p, n - m) * math.prod(a + b * (1 + j) for j in range(m)) * total
+    if p % 2:
+        top = -top
+    bottom = b**m * math.factorial(p) * math.factorial(m) * den
+    return Fraction(top, bottom) if field is Fraction else top / bottom
 
 
 def linearization_coeffs(n: int, m: int, alpha: Real) -> LinearizationTriple:
     """All linearization coefficients of L_n^alpha L_m^alpha, n >= m.
 
     Single finite sum per coefficient; exact Fractions for int/Fraction
-    alpha, floats otherwise.  With alpha = a/b the exact sum runs over
-    integers: the term ratio (k-p)(k-m) b / ((k+1)(a + b(1+k))) and
-    (2k)!/(n-m-p+2k)! accumulate on one numerator over one running
-    denominator, the prefactor joins them, and each coefficient is
-    normalized once.
+    alpha, floats otherwise.  Both fields run one integer sum at
+    alpha = a/b, a float alpha at its exact binary value: the term ratio
+    (k-p)(k-m) b / ((k+1)(a + b(1+k))) and (2k)!/(n-m-p+2k)! accumulate
+    on one numerator over one running denominator and the prefactor
+    joins them.  The exact coefficient is that pair normalized once; the
+    float one is its quotient rounded once, so it is correctly rounded.
+    A non-finite alpha raises ValueError or OverflowError.
     """
     if m < 0 or n < m:
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
@@ -293,12 +282,10 @@ def linearization_closed_form(n: int, m: int, p: int, alpha: Real) -> Real:
         (k0 - p, k0 - m, k0 + half), (half if gap % 2 == 0 else 3 * half, shift)
     )
     if field is Fraction:
-        # the prefactor and the series meet as one integer pair
-        rise_num, rise_den = rise.as_integer_ratio()
-        sum_num, sum_den = _hyp_in(field, series).as_integer_ratio()
-        top = sign * lead * duplication * rise_num * sum_num
-        bottom = math.factorial(p) * math.factorial(m) * rise_den * sum_den
-        return Fraction(top, bottom)
+        return _quotient(
+            (sign * lead * duplication, rise, _hyp_in(field, series)),
+            (math.factorial(p), math.factorial(m)),
+        )
     pref = field(lead) / (math.factorial(p) * math.factorial(m))
     pref *= field(duplication)
     pref *= rise

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .specfun import HypSeriesSpec, _field, _hyp_in, pochhammer
+from .specfun import HypSeriesSpec, _field, _hyp_in, _quotient, pochhammer
 
 __all__ = [
     "HahnParams",
@@ -81,17 +80,15 @@ def hahn(params: HahnParams, x):
     """h_k^{(alpha,beta)}(x, N) via the Pochhammer-prefactor series.
 
     Exact (Fraction) when all inputs are int or Fraction, binary64
-    otherwise.  The exact value is the prefactor's and the series'
-    integer numerators over their denominators times k!, normalized
-    once.  Raises if the series' denominator Pochhammer vanishes
-    before termination (possible only for positive integer N <= k).
+    otherwise.  The exact value is prefactor * series / k! joined by
+    `specfun._quotient`, normalized once.  Raises if the series'
+    denominator Pochhammer vanishes before termination (possible only
+    for positive integer N <= k).
     """
     field, prefactor, series = _hahn_split(params, x)
     if field is float:
         return field(prefactor) * series / math.factorial(params.degree)
-    p_num, p_den = prefactor.as_integer_ratio()
-    s_num, s_den = series.as_integer_ratio()
-    return Fraction(p_num * s_num, p_den * s_den * math.factorial(params.degree))
+    return _quotient((prefactor, series), (math.factorial(params.degree),))
 
 
 def _hahn_split(params: HahnParams, x):

@@ -10,13 +10,14 @@ its answer.  The one pair of entries that names its field instead,
 `hyp_terminating` and `hyp_terminating_exact`, converts its inputs to
 it.  Binary64 sums are compensated.  The exact field is carried over
 integers where the work is: `hyp_terminating_exact` sums its series by
-Horner with one integer numerator and one integer denominator,
-`pochhammer` forms its product over the numerator, and the NR moment
-(`hydrogen_nr._chebyshev_moment`), `orthopoly.hahn`, the linearization
-sum and the prefactors in `laguerre_integrals` join their factors as
-one integer pair in an exact branch beside their binary64 one.  So each
-exact value is normalized once where it is returned, not once per
-operation.
+Horner with one integer numerator and one integer denominator, and
+`pochhammer` forms its product over the numerator.  Every exact closed
+form joins its factors through `_quotient`, which multiplies their
+integer numerators and denominators and normalizes the one `Fraction`
+it returns, so each exact value is normalized once where it is
+returned, not once per operation.  The linearization sum
+(`laguerre_integrals`) runs on integers in both fields, at the exact
+binary value of a float parameter, and rounds a float result once.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = [
     "HypSeriesSpec",
-    "gamma_ratio",
     "hyp_terminating",
     "hyp_terminating_exact",
     "inc_gamma_upper",
@@ -95,12 +94,6 @@ def _integer_value(x) -> int | None:
     return int(x) if float(x).is_integer() else None
 
 
-def _as_nonpositive_int(x) -> int | None:
-    """int(x) when x is an integer-valued number <= 0, else None."""
-    value = _integer_value(x)
-    return value if value is not None and value <= 0 else None
-
-
 @dataclass(frozen=True)
 class HypSeriesSpec:
     """A generalized hypergeometric series at a fixed argument.
@@ -121,11 +114,8 @@ class HypSeriesSpec:
 
     def termination_index(self) -> int:
         """Smallest |a| over nonpositive-integer numerator parameters."""
-        stops = [
-            -v
-            for p in self.numerator_params
-            if (v := _as_nonpositive_int(p)) is not None
-        ]
+        values = (_integer_value(p) for p in self.numerator_params)
+        stops = [-v for v in values if v is not None and v <= 0]
         if not stops:
             raise ValueError(
                 "series does not terminate: no nonpositive-integer numerator parameter"
@@ -142,6 +132,22 @@ def _int_pair(x) -> tuple[int, int]:
         return Fraction(x).as_integer_ratio()
 
 
+def _quotient(ups, downs) -> Fraction:
+    """prod(ups) / prod(downs) for ints and Fractions, as one Fraction:
+    the integer numerators and denominators are multiplied out and the
+    result is normalized once.  ZeroDivisionError for a zero in downs."""
+    top = bottom = 1
+    for x in ups:
+        p, q = _int_pair(x)
+        top *= p
+        bottom *= q
+    for x in downs:
+        p, q = _int_pair(x)
+        top *= q
+        bottom *= p
+    return Fraction(top, bottom)
+
+
 def _pole_error(b, k: int, order: int) -> ValueError:
     return ValueError(
         f"denominator parameter {b} hits a pole at index {k + 1} "
@@ -149,8 +155,8 @@ def _pole_error(b, k: int, order: int) -> ValueError:
     )
 
 
-def _hyp_sum(spec: HypSeriesSpec) -> float:
-    """The terminating series as a compensated binary64 forward sum."""
+def hyp_terminating(spec: HypSeriesSpec) -> float:
+    """Terminating series value in binary64 with compensated accumulation."""
     order = spec.termination_index()
     nums = [float(a) for a in spec.numerator_params]
     dens = [float(b) for b in spec.denominator_params]
@@ -169,11 +175,6 @@ def _hyp_sum(spec: HypSeriesSpec) -> float:
         term *= ratio
         terms.append(term)
     return _compensated_sum(terms)
-
-
-def hyp_terminating(spec: HypSeriesSpec) -> float:
-    """Terminating series value in binary64 with compensated accumulation."""
-    return _hyp_sum(spec)
 
 
 def hyp_terminating_exact(spec: HypSeriesSpec) -> Fraction:
@@ -213,40 +214,6 @@ def _hyp_in(field: type, spec: HypSeriesSpec):
     if field is Fraction:
         return hyp_terminating_exact(spec)
     return hyp_terminating(spec)
-
-
-def _ln_gamma_signed(x: float) -> tuple[float, int]:
-    """(ln|Gamma(x)|, sign of Gamma(x)); errors at the poles."""
-    if x > 0:
-        return math.lgamma(x), 1
-    if float(x).is_integer():
-        raise ValueError(f"gamma pole at {x}")
-    sign = 1 if math.floor(x) % 2 == 0 else -1
-    return math.lgamma(x), sign
-
-
-def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> float:
-    """prod Gamma(numerators) / prod Gamma(denominators), sign tracked in log space.
-
-    A pole downstairs contributes a zero factor and wins; a pole
-    upstairs is an error (callers rewrite those as Pochhammer symbols).
-    """
-    for x in numerators:
-        if _as_nonpositive_int(x) is not None:
-            raise ValueError(f"gamma pole at {x} in a numerator")
-    if any(_as_nonpositive_int(x) is not None for x in denominators):
-        return 0.0
-    log_total = 0.0
-    sign = 1
-    for x in numerators:
-        ln_abs, s = _ln_gamma_signed(float(x))
-        log_total += ln_abs
-        sign *= s
-    for x in denominators:
-        ln_abs, s = _ln_gamma_signed(float(x))
-        log_total -= ln_abs
-        sign *= s
-    return sign * math.exp(log_total)
 
 
 def _inc_gamma_lower_series(alpha: float, z: float) -> float:

@@ -167,6 +167,21 @@ def test_exact_linearization_at_a_pole_raises():
             linearization_coeffs(3, 2, alpha)
 
 
+def test_float_linearization_is_correctly_rounded():
+    for alpha in (0.5, 1.3, -0.4, 30.25):
+        for n in range(13):
+            for m in range(n + 1):
+                got = linearization_coeffs(n, m, alpha).coefficients
+                want = linearization_coeffs(n, m, Fraction(alpha)).coefficients
+                assert got == tuple(float(c) for c in want), (n, m, alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_refused(alpha):
+    with pytest.raises((ValueError, ArithmeticError)):
+        linearization_coeffs(3, 2, alpha)
+
+
 def test_linearization_sign_pattern():
     # (-1)^(n+m+p) c_nmp >= 0 for alpha > -1, here checked exactly
     for alpha in (Fraction(0), Fraction(1, 2), Fraction(3)):

@@ -64,6 +64,9 @@ def test_float_inputs_never_reach_the_fraction_series(no_exact_series):
     assert isinstance(screening_nr(NrState(2.0, 4, 2, 1), 1.5, 0.3), float)
     assert isinstance(hahn(HahnParams(5, 1, 2, -7), 2.5), float)
     assert isinstance(expect_r_power_rel(RelState(40.0, 2, -2), 3).value, float)
+    coefficients = linearization_coeffs(5, 3, 0.5).coefficients
+    assert all(isinstance(c, float) for c in coefficients)
+    assert isinstance(linearization_closed_form(5, 3, 6, 0.5), float)
 
 
 EXACT_CASES = {

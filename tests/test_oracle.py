@@ -164,6 +164,39 @@ def test_invalid_inputs():
         quad_semi_infinite(f, 0.0, -1.0, 1e-10)  # decay must be positive
 
 
+@pytest.mark.parametrize("decay_rate, rel_tol, degree", [
+    (math.nan, 1e-12, 0.0),
+    (1.0, 1e-12, math.nan),
+    (1.0, math.nan, 0.0),
+    (1.0, math.inf, 0.0),
+], ids=["nan decay", "nan degree", "nan rel_tol", "inf rel_tol"])
+def test_non_finite_controls_refused(decay_rate, rel_tol, degree):
+    # a NaN reach put every node outside and returned 0 after 0
+    # evaluations; a non-finite rel_tol stopped after the initial panels
+    with pytest.raises(ValueError):
+        quad_semi_infinite(lambda x: np.exp(-x), 0.0, decay_rate, rel_tol,
+                           polynomial_degree=degree)
+
+
+def test_brute_expect_refuses_a_non_finite_rel_tol():
+    for rel_tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            brute_expect_nr(NrState(1.0, 2, 1), 1, rel_tol)
+        with pytest.raises(ValueError):
+            brute_expect_rel(RelState(1.0, 1, -1), 1, rel_tol)
+
+
+@pytest.mark.parametrize("count", [64, 256, 1024, 2048])
+def test_gauss_legendre_even_moments(count):
+    # sum w x^(2k) = 2/(2k+1) up to degree 2n-2, which the outermost
+    # nodes and weights dominate
+    x, w = oracle._gauss_legendre(count)
+    for k in (0, count // 4, count // 2, count - 1):
+        want = 2.0 / (2 * k + 1)
+        got = math.fsum(w * x ** (2 * k))
+        assert abs(got - want) <= 1e-12 * want, (count, k)
+
+
 def test_brute_expect_nr_reference_values():
     state = NrState(1.0, 1, 0)
     assert brute_expect_nr(state, 1) == pytest.approx(1.5, rel=1e-11)

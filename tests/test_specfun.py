@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from hahnium.specfun import (
     HypSeriesSpec,
-    gamma_ratio,
     hyp_terminating,
     hyp_terminating_exact,
     inc_gamma_upper,
     pochhammer,
 )
-from hahnium.specfun import _inc_gamma_lower_series, _inc_gamma_upper_lentz
+from hahnium.specfun import _inc_gamma_lower_series, _inc_gamma_upper_lentz, _quotient
 
 
 def test_pochhammer_small_values():
@@ -43,30 +42,24 @@ def test_pochhammer_splits_at_any_midpoint(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
 
-def test_reflection_formula():
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x), sign tracked through the ratio
-    for x in (0.125, 0.5, 3.25, 17.75, 49.5):
-        lhs = gamma_ratio((x, 1.0 - x), ())
-        rhs = math.pi / math.sin(math.pi * x)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-
-def test_duplication_formula():
-    # Gamma(x) Gamma(x+1/2) = 2^(1-2x) sqrt(pi) Gamma(2x)
-    for x in (0.2, 1.0, 7.3, 24.6, 49.9):
-        lhs = gamma_ratio((x, x + 0.5), (2.0 * x,))
-        rhs = 2.0 ** (1.0 - 2.0 * x) * math.sqrt(math.pi)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-
-def test_gamma_ratio_pole_rules():
-    # pole downstairs wins as an exact zero; pole upstairs is a caller bug
-    assert gamma_ratio((2.0,), (-3.0,)) == 0.0
-    with pytest.raises(ValueError):
-        gamma_ratio((-1.0,), (2.0,))
-    got = gamma_ratio((7.5, 2.0), (3.5, 6.0))
-    want = math.gamma(7.5) * math.gamma(2.0) / (math.gamma(3.5) * math.gamma(6.0))
-    assert got == pytest.approx(want, rel=1e-13)
+@given(
+    st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
+             max_size=5),
+    st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
+             max_size=5),
+)
+def test_quotient_is_the_plain_fraction_product(ups, downs):
+    if 0 in downs:
+        with pytest.raises(ZeroDivisionError):
+            _quotient(ups, downs)
+        return
+    got = _quotient(ups, downs)
+    want = Fraction(1)
+    for x in ups:
+        want *= x
+    for x in downs:
+        want /= x
+    assert type(got) is Fraction and got == want
 
 
 def test_chu_vandermonde_float_and_exact():
