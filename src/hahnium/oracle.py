@@ -150,9 +150,9 @@ def quad_semi_infinite(
     -1, where the head's mass is not representable).
     """
     sigma = float(singularity_exponent_at_0)
-    if sigma <= -1.0:
-        raise ValueError(f"singularity exponent must be > -1, got {sigma}")
     # written so that NaN fails: a NaN reach would leave every node outside
+    if not -1.0 < sigma < math.inf:
+        raise ValueError(f"singularity exponent must be > -1 and finite, got {sigma}")
     if not 0.0 < decay_rate < math.inf:
         raise ValueError(f"decay rate must be positive and finite, got {decay_rate}")
     if not 0.0 < rel_tol < math.inf:

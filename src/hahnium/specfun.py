@@ -11,13 +11,15 @@ its answer.  The one pair of entries that names its field instead,
 it.  Binary64 sums are compensated.  The exact field is carried over
 integers where the work is: `hyp_terminating_exact` sums its series by
 Horner with one integer numerator and one integer denominator, and
-`pochhammer` forms its product over the numerator.  Every exact closed
-form joins its factors through `_quotient`, which multiplies their
-integer numerators and denominators and normalizes the one `Fraction`
-it returns, so each exact value is normalized once where it is
-returned, not once per operation.  The linearization sum
-(`laguerre_integrals`) runs on integers in both fields, at the exact
-binary value of a float parameter, and rounds a float result once.
+`pochhammer` forms its product over the numerator.  The exact closed
+forms made of such factors (`orthopoly.hahn`, the NR moment, the master
+integrals and the linearization closed form) join them through
+`_quotient`, the one exact join: it multiplies their integer numerators
+and denominators and normalizes the one `Fraction` it returns, so each
+exact value is normalized once where it is returned, not once per
+operation.  The linearization sum (`laguerre_integrals`) runs on
+integers in both fields, at the exact binary value of a float
+parameter, and rounds a float result once.
 """
 
 from __future__ import annotations

@@ -164,17 +164,19 @@ def test_invalid_inputs():
         quad_semi_infinite(f, 0.0, -1.0, 1e-10)  # decay must be positive
 
 
-@pytest.mark.parametrize("decay_rate, rel_tol, degree", [
-    (math.nan, 1e-12, 0.0),
-    (1.0, 1e-12, math.nan),
-    (1.0, math.nan, 0.0),
-    (1.0, math.inf, 0.0),
-], ids=["nan decay", "nan degree", "nan rel_tol", "inf rel_tol"])
-def test_non_finite_controls_refused(decay_rate, rel_tol, degree):
+@pytest.mark.parametrize("sigma, decay_rate, rel_tol, degree", [
+    (0.0, math.nan, 1e-12, 0.0),
+    (0.0, 1.0, 1e-12, math.nan),
+    (0.0, 1.0, math.nan, 0.0),
+    (0.0, 1.0, math.inf, 0.0),
+    (math.inf, 1.0, 1e-12, 0.0),
+], ids=["nan decay", "nan degree", "nan rel_tol", "inf rel_tol", "inf sigma"])
+def test_non_finite_controls_refused(sigma, decay_rate, rel_tol, degree):
     # a NaN reach put every node outside and returned 0 after 0
-    # evaluations; a non-finite rel_tol stopped after the initial panels
+    # evaluations; a non-finite rel_tol stopped after the initial panels;
+    # an infinite sigma dropped the head and reported convergence
     with pytest.raises(ValueError):
-        quad_semi_infinite(lambda x: np.exp(-x), 0.0, decay_rate, rel_tol,
+        quad_semi_infinite(lambda x: np.exp(-x), sigma, decay_rate, rel_tol,
                            polynomial_degree=degree)
 
 

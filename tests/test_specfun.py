@@ -42,23 +42,19 @@ def test_pochhammer_splits_at_any_midpoint(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
 
-@given(
-    st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
-             max_size=5),
-    st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
-             max_size=5),
+_RATIONALS = st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)), max_size=5
 )
+
+
+@given(_RATIONALS, _RATIONALS)
 def test_quotient_is_the_plain_fraction_product(ups, downs):
     if 0 in downs:
         with pytest.raises(ZeroDivisionError):
             _quotient(ups, downs)
         return
     got = _quotient(ups, downs)
-    want = Fraction(1)
-    for x in ups:
-        want *= x
-    for x in downs:
-        want /= x
+    want = math.prod(ups, start=Fraction(1)) / math.prod(downs, start=Fraction(1))
     assert type(got) is Fraction and got == want
 
 
