@@ -1,16 +1,17 @@
 """Independent brute-force ground truth.
 
-Adaptive Gauss-Kronrod quadrature on (0, inf) with analytic handling of
-an endpoint singularity, bound-state moment and screening oracles
-assembled directly from wavefunction shapes, and a product sphere
-quadrature.  Nothing here calls the closed-form modules it validates:
-the only internal imports are the polynomial primitives needed to
-evaluate integrands (Laguerre, and the normalized associated Legendre
-recurrence behind `angular.spherical_harmonic`, which production
-screening does not use), and the relativistic density is built from the
-traditional radial form rather than the production one.  Every oracle
-column of the command line comes from this module alone, so a fault in
-a closed form cannot show in both columns.
+Adaptive Gauss-Kronrod quadrature on (0, inf) or (0, upper) with analytic
+handling of an endpoint singularity, bound-state moment oracles,
+screening oracles built on one radial multipole integral that holds
+from r -> 0 to r >> n^2, and a product sphere quadrature.  Nothing here
+calls the closed-form modules it validates: the only internal imports
+are the polynomial primitives needed to evaluate integrands (Laguerre,
+and the normalized associated Legendre recurrence behind
+`angular.spherical_harmonic`, which production screening does not use),
+and the relativistic density is built from the traditional radial form
+rather than the production one.  Every oracle column of the command
+line comes from this module alone, so a fault in a closed form cannot
+show in both columns.
 """
 
 from __future__ import annotations
@@ -101,14 +102,16 @@ def quad_semi_infinite(
     abs_tol: float = 0.0,
     budget: int = DEFAULT_BUDGET,
     polynomial_degree: float = 0.0,
+    upper: float = math.inf,
 ) -> QuadratureResult:
-    """Adaptive integral of `integrand` over (0, inf).
+    """Adaptive integral of `integrand` over (0, upper), by default (0, inf).
 
     The integrand must accept numpy arrays elementwise, behave as
     x^sigma near 0 (sigma = singularity_exponent_at_0, supplied
     analytically by the caller and never estimated) and decay like
     exp(-d*x), d = decay_rate, times a polynomial of degree at most
-    q = polynomial_degree.  The head (0, x1) and the tail (x1, inf),
+    q = polynomial_degree; in this module a degree counts every power of
+    x, x^sigma included.  The head (0, x1) and the tail (x1, inf),
     x1 = 1/d, are mapped from t in (0, 1) so that the mapped integrand
     is smooth at every end:
 
@@ -132,7 +135,8 @@ def quad_semi_infinite(
     e^-69 of its peak; with a reach of 1.5q it was up to e^-0.6.
     Understating q silently biases the result, since mass that is never
     sampled cannot show in the error estimate.  Endpoints are never
-    evaluated.
+    evaluated.  A finite `upper` cuts the integral at min(upper, x_max),
+    all of it mapped as the head with x1 that end.
 
     Refinement runs in rounds over one shared panel list, as in
     QUADPACK's qk15/qag (Piessens et al., 1983) and
@@ -147,7 +151,8 @@ def quad_semi_infinite(
     `budget`.  QuadratureError is raised when the budget cannot pay for
     the next bisection, on a non-finite panel, and when a head node
     falls below the smallest normal float (sigma within about 0.01 of
-    -1, where the head's mass is not representable).
+    -1, where the head's mass is not representable, or a tiny upper
+    end); ValueError for a non-finite or out-of-range control.
     """
     sigma = float(singularity_exponent_at_0)
     # written so that NaN fails: a NaN reach would leave every node outside
@@ -159,6 +164,12 @@ def quad_semi_infinite(
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if not math.isfinite(polynomial_degree):
         raise ValueError(f"polynomial degree must be finite, got {polynomial_degree}")
+    if not 0.0 <= abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be finite and >= 0, got {abs_tol}")
+    if not -math.inf < budget < math.inf:
+        raise ValueError(f"budget must be finite, got {budget}")
+    if not upper > 0.0:
+        raise ValueError(f"upper end must be positive, got {upper}")
 
     x1 = 1.0 / decay_rate
     if sigma < 0.0:
@@ -171,6 +182,10 @@ def quad_semi_infinite(
     reach = 74.0 + 3.0 * degree
     stretch = max(16.0, reach / 36.0, degree / 4.0) / decay_rate
     x_max = x1 + reach / decay_rate
+    seeds = np.linspace(0.0, 2.0, 9)  # four head panels, four tail panels
+    if upper < math.inf:  # a finite interval: the head panels alone
+        x1 = x_max = min(upper, x_max)
+        seeds = seeds[:5]
 
     # One coordinate u carries both pieces: the head's t = u on (0, 1),
     # the tail's t = u - 1 on (1, 2).
@@ -185,8 +200,8 @@ def quad_semi_infinite(
         x[head] = x1 * np.power(t, head_power)
         if np.any(x[head] < np.finfo(float).tiny):
             raise QuadratureError(
-                f"head map x1*t^{head_power:g} underflows: sigma={sigma} "
-                "is too close to -1"
+                f"head map {x1:g}*t^{head_power:g} underflows: sigma={sigma} "
+                "is too close to -1 or the upper end too small"
             )
         weight[head] = x1 * head_power * np.power(t, head_power - 1.0)
         # 1 - t of the tail, exact; deep subdivision can round a node
@@ -202,7 +217,6 @@ def quad_semi_infinite(
         return kron, np.abs(kron - gauss), int(np.count_nonzero(inside))
 
     panel_points = GK_NODES.size
-    seeds = np.linspace(0.0, 2.0, 9)
     lo, hi = seeds[:-1], seeds[1:]
     if budget < lo.size * panel_points:
         raise QuadratureError(f"budget {budget} cannot pay for the initial panels")
@@ -361,6 +375,33 @@ def brute_expect_rel(state, p: int, rel_tol: float = 1e-12) -> float:
     )
 
 
+def _check_radius(z: float, r: float) -> None:
+    """Refuse the r that production screening refuses (a subnormal r)."""
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    if z / r == math.inf:
+        raise ArithmeticError(f"the potential at r = {r!r} exceeds binary64 range")
+
+
+def _multipole(density: Callable, sigma: float, decay_rate: float, degree: float,
+               r: float, big_l: int, rel_tol: float, abs_tol: float = 0.0) -> float:
+    """M_L(r) = r^-(L+1) int_0^r D s^(L+2) ds + r^L int_r^inf D s^(1-L) ds
+    for a density D ~ s^sigma of polynomial degree `degree` times
+    exp(-decay_rate*s).  Neither r^L nor s^L is formed: the interior is
+    D s (s/r)^(L+1) over (0, r), cut at the density's reach, and the
+    exterior D(s) s (r/s)^L at s = r + t over t > 0."""
+    inner = quad_semi_infinite(
+        lambda s: density(s) * s * (s / r) ** (big_l + 1),
+        sigma + big_l + 2, decay_rate, rel_tol, abs_tol,
+        polynomial_degree=degree + big_l + 2, upper=r,
+    ).value
+    outer = quad_semi_infinite(
+        lambda t: density(r + t) * (r + t) * (r / (r + t)) ** big_l,
+        0.0, decay_rate, rel_tol, abs_tol, polynomial_degree=degree + 1 - big_l,
+    ).value
+    return inner + outer
+
+
 def brute_screening(
     radial_density: Callable,
     Z: float,
@@ -373,35 +414,16 @@ def brute_screening(
     """Screened potential at r of a nucleus Z plus one electron, by
     quadrature over a spherically symmetric radial density D:
 
-        V(r) = Z/r - (1/r) int_0^r D(s) s^2 ds - int_r^inf D(s) s ds
+        V(r) = Z/r - M_0(r),  M_0 = (1/r) int_0^r D s^2 ds + int_r^inf D s ds
 
-    assuming int_0^inf D s^2 ds = 1.  D ~ s^singularity_exponent at the
-    origin and decays like exp(-decay_rate*s) times a polynomial of
-    degree at most polynomial_degree.  The head integral is the full
-    moment minus the shifted tail, so its accuracy degrades near r = 0
-    where it is dominated by Z/r anyway.
+    assuming int_0^inf D s^2 ds = 1: one `_multipole` for every r.  D is
+    s^singularity_exponent times a polynomial of degree at most
+    polynomial_degree times exp(-decay_rate*s); this degree alone leaves
+    out the power at the origin, and is converted here, once.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
-
-    degree = float(polynomial_degree) + singularity_exponent + 2.0
-
-    def charge(s):
-        return radial_density(s) * s * s
-
-    full = quad_semi_infinite(
-        charge, singularity_exponent + 2.0, decay_rate, rel_tol,
-        polynomial_degree=degree,
-    ).value
-    tail_charge = quad_semi_infinite(
-        lambda t: charge(r + t), 0.0, decay_rate, rel_tol,
-        polynomial_degree=degree,
-    ).value
-    tail_linear = quad_semi_infinite(
-        lambda t: radial_density(r + t) * (r + t), 0.0, decay_rate, rel_tol,
-        polynomial_degree=degree - 1.0,
-    ).value
-    return Z / r - (full - tail_charge) / r - tail_linear
+    _check_radius(Z, r)
+    return Z / r - _multipole(radial_density, singularity_exponent, decay_rate,
+                              singularity_exponent + polynomial_degree, r, 0, rel_tol)
 
 
 def brute_screening_rel(state, r: float, rel_tol: float = 1e-12) -> float:
@@ -414,8 +436,7 @@ def brute_screening_rel(state, r: float, rel_tol: float = 1e-12) -> float:
     mu, n_r, kappa = float(state.mu), int(state.n_r), int(state.kappa)
     if abs(kappa) != 1:
         raise ValueError(f"kappa={kappa}: only |kappa| = 1 densities are spherical")
-    if not 0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
+    _check_radius(float(state.Z), r)
     density, nu, a = _rel_density(mu, n_r, kappa)
     norm = _rel_moment(mu, n_r, kappa, 0, rel_tol)
     alpha = float(state.alpha_fs)
@@ -427,62 +448,39 @@ def brute_screening_rel(state, r: float, rel_tol: float = 1e-12) -> float:
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(count: int) -> tuple:
-    """(nodes, weights) of the count-point Gauss-Legendre rule on [-1, 1]:
-    numpy's nodes after two Newton steps on the Legendre recurrence, and
-    weights 2 / ((1-x)(1+x) P'(x)^2).  numpy's own weights are off by up
-    to 6e-8 relative at 2048 nodes, these by 6e-11."""
-    x = np.polynomial.legendre.leggauss(count)[0]
-    for step in range(3):
+    """(nodes, weights), ascending, of the count-point Gauss-Legendre rule
+    on [-1, 1]: Tricomi's nodes (1 - 1/(8n^2) + 1/(8n^3)) cos(pi(4k-1) /
+    (4n+2)) (Ann. Mat. Pura Appl. 31 (1950) 93) after three Newton steps
+    on the Legendre recurrence, and weights 2 / ((1-x)(1+x) P'(x)^2),
+    off by 6e-11 relative at 2048 nodes."""
+    angle = math.pi * (4.0 * np.arange(count, 0, -1) - 1.0) / (4 * count + 2)
+    x = (1.0 - (1.0 - 1.0 / count) / (8.0 * count * count)) * np.cos(angle)
+    for step in range(4):
         prev, curr = np.ones_like(x), x
-        for k in range(1, count):
-            prev, curr = curr, ((2 * k + 1) * x * curr - k * prev) / (k + 1)
+        for j in range(1, count):
+            prev, curr = curr, ((2 * j + 1) * x * curr - j * prev) / (j + 1)
         sine_sq = (1.0 - x) * (1.0 + x)  # 1 - x*x loses digits next to +-1
         slope = count * (prev - x * curr) / sine_sq
-        if step < 2:
+        if step < 3:
             x = x - curr / slope
     return x, 2.0 / (sine_sq * slope * slope)
 
 
-def _unit_interval(f: Callable, rel_tol: float) -> float:
-    """Integral of f over (0, 1) by Gauss-Legendre, the node count doubled
-    until two counts agree to rel_tol."""
-    previous, count = None, 16
-    while count <= 2048:
-        nodes, weights = _gauss_legendre(count)
-        value = 0.5 * float(np.dot(weights, f(0.5 * (nodes + 1.0))))
-        if previous is not None and abs(value - previous) <= rel_tol * abs(value):
-            return value
-        previous, count = value, 2 * count
-    raise QuadratureError("Gauss-Legendre on (0, 1) did not settle at 2048 nodes")
-
-
 @lru_cache(maxsize=4096)
 def _nr_multipoles(z: float, n: int, l: int, r: float, rel_tol: float) -> tuple:
-    """(M_0, M_2, ...) for even L <= 2l: M_L = r^-(L+1) times the interior
-    integral of D s^(L+2) plus r^L times the exterior one of D s^(1-L),
-    D the radial density normalized by its own quadrature.  With s = r*u
-    inside and s = r + t outside, neither r^L nor s^L is formed: the
-    interior is r^2 times the integral of D(ru) u^(L+2) over (0, 1), by
-    Gauss-Legendre, and the exterior the integral of D(s) s (r/s)^L over
-    t > 0, by the semi-infinite quadrature.  D >= 0 gives |M_L| <= M_0,
-    so past L = 0 an exterior integral may also stop at an error of
-    rel_tol times M_0's integral: one far below M_0, even subnormal,
-    then converges."""
+    """(M_0, M_2, ...) for even L <= 2l by `_multipole`, over the Laguerre
+    shape e^(-eta) eta^(2l) L^2 (degree 2n-2) normalized by its own
+    quadrature.  D >= 0 gives |M_L| <= M_0, so past L = 0 an integral may
+    also stop at an error of rel_tol times M_0: one far below M_0, even
+    subnormal, then converges."""
     density = _nr_density(z, n, l)
     norm = _nr_moment(z, n, l, 0, rel_tol)
     out, abs_tol = [], 0.0
     for big_l in range(0, 2 * l + 1, 2):
-        inner = r * r * _unit_interval(
-            lambda u: density(r * u) * u ** (big_l + 2), rel_tol
-        )
-        outer = quad_semi_infinite(
-            lambda t: density(r + t) * (r + t) * (r / (r + t)) ** big_l,
-            0.0, 2.0 * z / n, rel_tol, abs_tol, polynomial_degree=2 * n - 1 - big_l,
-        ).value
-        if big_l == 0:
-            abs_tol = rel_tol * (inner + outer)
-        out.append((inner + outer) / norm)
-    return tuple(out)
+        out.append(_multipole(density, 2 * l, 2.0 * z / n, 2 * n - 2, r, big_l,
+                              rel_tol, abs_tol))
+        abs_tol = rel_tol * out[0]
+    return tuple(multipole / norm for multipole in out)
 
 
 def _angular_weights(l: int, m: int, theta: float) -> list:
@@ -525,8 +523,9 @@ def brute_screening_nr(state, r: float, theta: float = 0.0,
     z, n, l, m = float(state.Z), int(state.n), int(state.l), int(state.m)
     if not 0 <= l < n or abs(m) > l:
         raise ValueError(f"need 0 <= l < n and |m| <= l, got n={n}, l={l}, m={m}")
-    if not 0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    _check_radius(z, r)
     multipoles = _nr_multipoles(z, n, l, float(r), rel_tol)
     weights = _angular_weights(l, m, theta)
     electron = math.fsum(w * radial for w, radial in zip(weights, multipoles))

@@ -164,20 +164,46 @@ def test_invalid_inputs():
         quad_semi_infinite(f, 0.0, -1.0, 1e-10)  # decay must be positive
 
 
-@pytest.mark.parametrize("sigma, decay_rate, rel_tol, degree", [
-    (0.0, math.nan, 1e-12, 0.0),
-    (0.0, 1.0, 1e-12, math.nan),
-    (0.0, 1.0, math.nan, 0.0),
-    (0.0, 1.0, math.inf, 0.0),
-    (math.inf, 1.0, 1e-12, 0.0),
-], ids=["nan decay", "nan degree", "nan rel_tol", "inf rel_tol", "inf sigma"])
-def test_non_finite_controls_refused(sigma, decay_rate, rel_tol, degree):
+@pytest.mark.parametrize("controls", [
+    {"decay_rate": math.nan},
+    {"polynomial_degree": math.nan},
+    {"rel_tol": math.nan},
+    {"rel_tol": math.inf},
+    {"singularity_exponent_at_0": math.inf},
+    {"abs_tol": math.inf},
+    {"abs_tol": math.nan},
+    {"budget": math.nan},
+    {"budget": math.inf},
+    {"upper": math.nan},
+], ids=["nan decay", "nan degree", "nan rel_tol", "inf rel_tol", "inf sigma",
+        "inf abs_tol", "nan abs_tol", "nan budget", "inf budget", "nan upper"])
+def test_non_finite_controls_refused(controls):
     # a NaN reach put every node outside and returned 0 after 0
-    # evaluations; a non-finite rel_tol stopped after the initial panels;
-    # an infinite sigma dropped the head and reported convergence
+    # evaluations; a non-finite rel_tol or an infinite abs_tol stopped
+    # after the initial panels; an infinite sigma dropped the head and
+    # reported convergence; a NaN abs_tol was ignored and a NaN budget
+    # meant no budget
+    args = {"singularity_exponent_at_0": 0.0, "decay_rate": 1.0, "rel_tol": 1e-12}
     with pytest.raises(ValueError):
-        quad_semi_infinite(lambda x: np.exp(-x), sigma, decay_rate, rel_tol,
-                           polynomial_degree=degree)
+        quad_semi_infinite(lambda x: np.exp(-x), **(args | controls))
+
+
+def test_finite_upper_end():
+    # int_0^u x^a e^-x by quadrature on the head map alone against the
+    # series u^a e^-u sum_j u^(j+1) / (a+1)...(a+j+1); past the reach of
+    # the integrand the cut leaves Gamma(a+1)
+    for sigma, upper in ((0.0, 0.5), (0.0, 3.0), (1.5, 2.0), (-0.5, 1e-3)):
+        terms, term = [], 1.0
+        for j in range(100):
+            term *= upper / (sigma + 1.0 + j)
+            terms.append(term)
+        want = upper**sigma * math.exp(-upper) * math.fsum(terms)
+        res = quad_semi_infinite(lambda x, s=sigma: x**s * np.exp(-x), sigma, 1.0,
+                                 1e-13, polynomial_degree=sigma, upper=upper)
+        assert abs(res.value - want) <= 1e-12 * want, (sigma, upper)
+    res = quad_semi_infinite(lambda x: x**4 * np.exp(-x), 4.0, 1.0, 1e-13,
+                             polynomial_degree=4.0, upper=1e6)
+    assert abs(res.value - 24.0) <= 1e-12 * 24.0
 
 
 def test_brute_expect_refuses_a_non_finite_rel_tol():
@@ -361,6 +387,52 @@ def test_brute_screening_nr_right_at_large_l_and_m():
         assert abs(got - want) <= 1e-10 * abs(want), r
 
 
+def test_brute_screening_nr_right_or_refuses_over_the_whole_radial_range():
+    # every state with n <= 6 and m >= 0 at Z in {1, 3.7, 92}, from
+    # r = 1e-8 n^2/Z to 1e8 n^2/Z, and (101, 100, 50) around its peak:
+    # within 1e-12 of max(|V|, Z/r) or QuadratureError, never non-finite.
+    # Gauss-Legendre interiors on (0, r) lost the whole electron of
+    # (1, 2, 1) for r >= 4e6 and returned Z/r
+    cases = [(NrState(z, n, l, m), 10.0**e * n * n / z)
+             for z in (1.0, 3.7, 92.0) for n in range(1, 7) for l in range(n)
+             for m in range(l + 1) for e in range(-8, 9)]
+    cases += [(NrState(1.0, 101, 100, 50), f * 101**2) for f in (0.3, 1.0, 3.0)]
+    wrong, answered = [], 0
+    for state, r in cases:
+        want = screening_nr(state, r, 0.7)
+        try:
+            got = brute_screening_nr(state, r, 0.7)
+        except QuadratureError:
+            continue
+        answered += 1
+        if not abs(got - want) <= 1e-12 * max(abs(want), state.Z / r):
+            wrong.append((state, r, got, want))
+    assert not wrong, wrong[:5]
+    assert answered >= 0.99 * len(cases), (answered, len(cases))
+
+
+def test_screening_oracles_refuse_what_production_refuses():
+    # theta = nan returned nan, r = inf ended in a QuadratureError after
+    # a numpy warning, and a subnormal r returned inf
+    def density(s):
+        return 4.0 * np.exp(-2.0 * s)
+
+    state, dirac = NrState(1.0, 2, 1, 1), RelState(1.0, 0, -1)
+    for r in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            brute_screening(density, 1.0, r, 0.0, 2.0)
+    for routine in (screening_nr, brute_screening_nr):
+        with pytest.raises(ValueError, match="theta"):
+            routine(state, 1.0, math.nan)
+    for r in (1e-310, 5e-324):
+        for call in (lambda: screening_nr(state, r), lambda: brute_screening_nr(state, r),
+                     lambda: screening_rel_1s(1.0, r),
+                     lambda: brute_screening_rel(dirac, r),
+                     lambda: brute_screening(density, 1.0, r, 0.0, 2.0)):
+            with pytest.raises(ArithmeticError):
+                call()
+
+
 def test_brute_screening_nr_ground_state_and_refusals():
     # V = (Z-1)/r + (1/r + Z) e^(-2Zr), whatever theta
     for r in (0.1, 1.0, 5.0):
@@ -374,9 +446,11 @@ def test_brute_screening_nr_ground_state_and_refusals():
 
 
 def test_brute_screening_rel_matches_the_1s_closed_form():
-    # |diff| <= 1e-9 max(|V|, electron term), from r << 1/Z to r >> 1/Z
+    # |diff| <= 1e-9 max(|V|, electron term), from r << 1/Z to r >> 1/Z:
+    # the fixed radii, then r = 1e-8/Z to 1e8/Z
     for z in (1.0, 20.0, 60.0, 80.0, 92.0, 120.0, 136.0):
-        for r in (1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0, 2.0):
+        radii = (1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0, 2.0)
+        for r in radii + tuple(10.0**e / z for e in range(-8, 9)):
             want = screening_rel_1s(z, r)
             got = brute_screening_rel(RelState(z, 0, -1), r)
             assert abs(got - want) <= 1e-9 * max(abs(want), abs(z / r - want)), (z, r)
