@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Union
 
 from .angular import clebsch_gordan
-from .orthopoly import HahnParams, LaguerreSpec, _hahn_split, laguerre, legendre
+from .orthopoly import LaguerreSpec, _hahn_split, laguerre, legendre
 from .specfun import _field, _quotient
 
 __all__ = [
@@ -101,12 +101,28 @@ def _exp(x):
     return np.exp(x)
 
 
+def _check_radius(r) -> None:
+    """ValueError unless r (a scalar or an ndarray) is >= 0 and finite
+    everywhere; numpy is consulted only for an array."""
+    if isinstance(r, (int, float, Fraction)):
+        inside = 0 <= r < math.inf
+    else:
+        import numpy as np
+
+        inside = np.isfinite(r).all() and (r >= 0).all()
+    if not inside:
+        raise ValueError("r must be nonnegative and finite")
+
+
 def radial_nr(state: NrState, r):
     """Radial function R_nl(r), r in Bohr radii, value in a0^(-3/2).
 
     Normalized so that the integral of R^2 r^2 over (0, inf) is 1.
-    Accepts a scalar or an ndarray of radii.
+    Accepts a scalar or an ndarray of radii; ValueError for a negative,
+    nan or infinite radius (+inf too: R there is the limit 0, which the
+    formula cannot form).
     """
+    _check_radius(r)
     z = float(state.Z)
     n, l = state.n, state.l
     eta = (2.0 * z / n) * r
@@ -162,8 +178,7 @@ def _chebyshev_moment(state: NrState, k: int, ratio, p: int):
     """
     n, l = state.n, state.l
     field = _field(state.Z)
-    params = HahnParams(k, 0, 0, -(2 * l + 1))
-    _, prefactor, series = _hahn_split(params, field(n - l - 1))
+    prefactor, series = _hahn_split(field, k, 0, 0, -(2 * l + 1), n - l - 1)
     lead = prefactor // math.factorial(k)
     if field is Fraction:
         z_num, z_den = state.Z.as_integer_ratio()
@@ -203,17 +218,22 @@ def inversion_check_nr(state: NrState, k: int):
     """Both sides of the moment inversion relation, 0 <= k <= 2l.
 
     Returns (<1/r^{k+2}>, (2Z/n)^{2k+1} (2l-k)!/(2l+k+1)! <r^{k-1}>);
-    the two are equal by construction of the closed forms.
+    the two are equal by construction of the closed forms.  In the exact
+    field the factor (2Z/n)^(2k+1) folds, as integers, into the scale
+    (n/2Z)^(k-1) of <r^{k-1}>; what is left is the one quotient of the
+    left side, so that one Fraction is both sides.  In binary64 the right
+    side is the factor times <r^{k-1}>, rounded on its own.
     """
     l = state.l
     if not 0 <= k <= 2 * l:
         raise ValueError(f"k={k} violates 0 <= k <= 2l = {2 * l}")
-    lhs = expect_r_power_nr(state, -(k + 2)).value
-    # the ratio, ~1/(4l+1)! at k = 2l, joins <r^{k-1}> before the field
+    # the ratio, ~1/(4l+1)! at k = 2l, joins each moment before the field
     ratio = _inversion_ratio(l, k)
-    factor = (2 * _field(state.Z)(state.Z) / state.n) ** (2 * k + 1)
-    rhs = factor * _chebyshev_moment(state, k, ratio, k - 1)
-    return lhs, rhs
+    lhs = _in_range(_chebyshev_moment(state, k, ratio, -(k + 2)), "<r^%d>", -(k + 2))
+    if _field(state.Z) is Fraction:
+        return lhs, lhs
+    factor = (2 * float(state.Z) / state.n) ** (2 * k + 1)
+    return lhs, factor * _chebyshev_moment(state, k, ratio, k - 1)
 
 
 @lru_cache(maxsize=_SCREENING_CACHE)

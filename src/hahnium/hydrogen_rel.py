@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hydrogen_nr import Expectation, _exp, _in_range
-from .orthopoly import HahnParams, LaguerreSpec, hahn, laguerre
-from .specfun import inc_gamma_upper, pochhammer
+from .hydrogen_nr import Expectation, _check_radius, _exp, _in_range
+from .orthopoly import LaguerreSpec, _hahn, laguerre
+from .specfun import _pochhammer, inc_gamma_upper
 
 __all__ = [
     "ALPHA_FS",
@@ -93,18 +93,24 @@ class RelState:
 
     @property
     def nu(self) -> float:
-        return math.sqrt((self.kappa - self.mu) * (self.kappa + self.mu))
+        return self._levels()[1]
 
     @property
     def epsilon(self) -> float:
-        n_eff = self.n_r + self.nu
-        return n_eff / math.hypot(n_eff, self.mu)
+        return self._levels()[2]
 
     @property
     def a(self) -> float:
-        # sqrt(1 - epsilon^2) without the cancellation near epsilon = 1
-        n_eff = self.n_r + self.nu
-        return self.mu / math.hypot(n_eff, self.mu)
+        return self._levels()[3]
+
+    def _levels(self) -> tuple:
+        """(mu, nu, epsilon, a), each evaluated once; a is
+        sqrt(1 - epsilon^2) without the cancellation near epsilon = 1."""
+        mu = self.mu
+        nu = math.sqrt((self.kappa - mu) * (self.kappa + mu))
+        n_eff = self.n_r + nu
+        hyp = math.hypot(n_eff, mu)
+        return mu, nu, n_eff / hyp, mu / hyp
 
 
 @dataclass(frozen=True)
@@ -139,10 +145,13 @@ def radial_rel(state: RelState, r):
     """Radial pair (F, G) at r (reduced Compton lengths).
 
     Normalized so the integral of (F^2+G^2) r^2 is 1.  Accepts a scalar
-    or an ndarray.  The n_r = 0 state keeps only the L_n^{2nu-1} column.
+    or an ndarray; ValueError for a negative, nan or infinite radius (+inf
+    too, as in `radial_nr`).  The n_r = 0 state keeps only the
+    L_n^{2nu-1} column.
     """
+    _check_radius(r)
     n, kappa = state.n_r, state.kappa
-    eps, nu, a, mu = state.epsilon, state.nu, state.a, state.mu
+    mu, nu, eps, a = state._levels()
     _, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
     xi = 2.0 * a * r
     norm = (a * a / nu) * math.sqrt(
@@ -180,8 +189,9 @@ def _check_admissible(nu: float, p: int) -> None:
 
 def _bracket(n: int, kappa: int, p: int, nu, mu, eps, a):
     """Terms (t1, t2, t3) and divisor D of the moment bracket at power p,
-    <r^p> = (t1 + t2 + t3) / D, in the field of the arguments (float, or
-    Fraction for the exact sum):
+    <r^p> = (t1 + t2 + t3) / D, in the field of the arguments, type(nu):
+    float, or Fraction for the exact sum.  The Hahn polynomials come from
+    `orthopoly._hahn` in that field:
 
     4 mu nu^2 (2a)^p <r^p> = a k (eps k + nu) g1
         - 2(p+2) mu a^2 n (2nu+n) g2 + a k (eps k - nu) g3,
@@ -196,16 +206,17 @@ def _bracket(n: int, kappa: int, p: int, nu, mu, eps, a):
     elif p == -2:
         g1, g2, g3 = 1 / (2 * nu + 1), 0, 1 / (2 * nu - 1)
     else:
+        field = type(nu)
         q = p if p >= 0 else -p - 3
         g1 = g2 = 0
         if n >= 1:
-            g1 = hahn(HahnParams(q + 1, 0, 0, -1 - 2 * nu), n - 1)
-            g2 = hahn(HahnParams(q, 1, 1, -1 - 2 * nu), n - 1) / (q + 1)
-        g3 = hahn(HahnParams(q + 1, 0, 0, 1 - 2 * nu), n)
+            g1 = _hahn(field, q + 1, 0, 0, -1 - 2 * nu, n - 1)
+            g2 = _hahn(field, q, 1, 1, -1 - 2 * nu, n - 1) / (q + 1)
+        g3 = _hahn(field, q + 1, 0, 0, 1 - 2 * nu, n)
         if p < 0:
-            g1 /= pochhammer(2 * nu - q, 2 * q + 3)
-            g2 /= pochhammer(2 * nu - q - 1, 2 * q + 3)
-            g3 /= pochhammer(2 * nu - q - 2, 2 * q + 3)
+            g1 /= _pochhammer(2 * nu - q, 2 * q + 3)
+            g2 /= _pochhammer(2 * nu - q - 1, 2 * q + 3)
+            g3 /= _pochhammer(2 * nu - q - 2, 2 * q + 3)
     if n == 0:
         g1 = g2 = 0
     ek_plus, ek_minus = _eps_kappa_pm(n, kappa, eps, nu, a)
@@ -260,10 +271,9 @@ def expect_r_power_rel(state: RelState, p: int) -> Expectation:
     That route raises OverflowError where the moment itself is out of
     range.
     """
-    nu = state.nu
+    mu, nu, eps, a = state._levels()
     _check_admissible(nu, p)
-    terms, divisor = _bracket(state.n_r, state.kappa, p, nu, state.mu,
-                              state.epsilon, state.a)
+    terms, divisor = _bracket(state.n_r, state.kappa, p, nu, mu, eps, a)
     if divisor and all(map(math.isfinite, terms)):
         total = math.fsum(terms)
         value = total / divisor
@@ -287,7 +297,7 @@ def expect_special_rel(state: RelState, case: str) -> Expectation:
                          f"{sorted(_SPECIAL_POWERS)}")
     p = _SPECIAL_POWERS[case]
     n, kappa = state.n_r, state.kappa
-    eps, nu, a, mu = state.epsilon, state.nu, state.a, state.mu
+    mu, nu, eps, a = state._levels()
     _check_admissible(nu, p)
     if case == "r2":
         value = (

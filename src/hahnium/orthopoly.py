@@ -1,11 +1,18 @@
 """Classical orthogonal polynomials and the discrete Hahn family.
 
-Evaluation is by three-term recurrence in the degree throughout (never
-by Rodrigues differentiation); the hypergeometric definitions stay
-available as cross-checks.  Recurrences are written in plain arithmetic
-so the same code runs on floats, Fractions and numpy arrays, and Hahn
-prefactors use the Pochhammer rewrite (N-k)_k of Gamma(N)/Gamma(N-k) so
-negative N never touches a gamma pole.
+Laguerre and Legendre polynomials are evaluated by three-term recurrence
+in the degree (never by Rodrigues differentiation), written in plain
+arithmetic so the same code runs on floats, Fractions and numpy arrays.
+
+A Hahn polynomial is its terminating 3F2 times a Pochhammer prefactor;
+the rewrite (N-k)_k of Gamma(N)/Gamma(N-k) keeps negative N off the
+gamma poles.  Public `hahn` (and `chebyshev_discrete`, which is `hahn`
+at alpha = beta = 0) decides the number field once, refuses non-finite
+float inputs, and calls the one private body `_hahn`, which hands plain
+parameter tuples and the known stopping index to `specfun`'s series body
+of that field.  The NR and Dirac moments call `_hahn` / `_hahn_split`
+directly with their field, so a moment pays for neither a parameter
+object nor a series spec nor the public checks.
 """
 
 from __future__ import annotations
@@ -13,7 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import HypSeriesSpec, _field, _hyp_in, _quotient, pochhammer
+from .specfun import (
+    _field,
+    _int_pair,
+    _integer_value,
+    _pochhammer,
+    _quotient,
+    _refuse_non_finite,
+    _series_exact,
+    _series_float,
+)
 
 __all__ = [
     "HahnParams",
@@ -77,33 +93,55 @@ def laguerre(spec: LaguerreSpec, x):
 
 
 def hahn(params: HahnParams, x):
-    """h_k^{(alpha,beta)}(x, N) via the Pochhammer-prefactor series.
+    """h_k^{(alpha,beta)}(x, N) = (-1)^k (N-k)_k (beta+1)_k / k! times
+    3F2(-k, alpha+beta+k+1, -x; beta+1, 1-N; 1).
 
     Exact (Fraction) when all inputs are int or Fraction, binary64
-    otherwise.  The exact value is prefactor * series / k! joined by
-    `specfun._quotient`, normalized once.  Raises if the series'
-    denominator Pochhammer vanishes before termination (possible only
-    for positive integer N <= k).
+    otherwise; the field is decided here, once, and `_hahn` evaluates in
+    it.  The exact value is prefactor * series / k! joined by
+    `specfun._quotient`, normalized once.  ValueError for a non-finite
+    float input, or if the series' denominator Pochhammer vanishes
+    before termination (possible only for positive integer N <= k).
     """
-    field, prefactor, series = _hahn_split(params, x)
+    values = (x, params.alpha, params.beta, params.N)
+    field = _field(*values)
     if field is float:
-        return field(prefactor) * series / math.factorial(params.degree)
-    return _quotient((prefactor, series), (math.factorial(params.degree),))
+        _refuse_non_finite("hahn", values)
+    return _hahn(field, params.degree, params.alpha, params.beta, params.N, x)
 
 
-def _hahn_split(params: HahnParams, x):
-    """(field, prefactor, series) with k! h = prefactor * series.
+def _hahn(field: type, k: int, alpha, beta, big_n, x):
+    """h_k^{(alpha,beta)}(x, N) in `field` (float or Fraction), unchecked."""
+    prefactor, series = _hahn_split(field, k, alpha, beta, big_n, x)
+    if field is float:
+        return float(prefactor) * series / math.factorial(k)
+    return _quotient((prefactor, series), (math.factorial(k),))
 
-    The prefactor (-1)^k (N-k)_k (beta+1)_k keeps the parameters' type
-    (an int for integer ones), so a caller can scale it exactly before
-    it meets the field, where alone it may overflow.
+
+def _hahn_split(field: type, k: int, alpha, beta, big_n, x) -> tuple:
+    """(prefactor, series) with k! h_k^{(alpha,beta)}(x, N) = prefactor *
+    series, the series summed in `field` by `specfun`'s body of it.
+
+    The series stops at the smallest nonpositive integer among its
+    numerator parameters -k, alpha+beta+k+1 and -x.  The prefactor
+    (-1)^k (N-k)_k (beta+1)_k keeps the parameters' type (an int for
+    integer ones), so a caller can scale it exactly before it meets the
+    field, where alone it may overflow.
     """
-    k = params.degree
-    alpha, beta, big_n = params.alpha, params.beta, params.N
-    spec = HypSeriesSpec((-k, alpha + beta + k + 1, -x), (beta + 1, 1 - big_n), 1)
-    prefactor = (-1) ** k * pochhammer(big_n - k, k) * pochhammer(beta + 1, k)
-    field = _field(x, alpha, beta, big_n)
-    return field, prefactor, _hyp_in(field, spec)
+    up, down = alpha + beta + k + 1, 1 - big_n
+    order = k
+    for a in (up, -x):
+        stop = _integer_value(a)
+        if stop is not None and -order < stop <= 0:
+            order = -stop
+    prefactor = (-1) ** k * _pochhammer(big_n - k, k) * _pochhammer(beta + 1, k)
+    if field is float:
+        nums = (float(-k), float(up), float(-x))
+        series = _series_float(nums, (float(beta + 1), float(down)), 1.0, order)
+    else:
+        nums = (_int_pair(-k), _int_pair(up), _int_pair(-x))
+        series = _series_exact(nums, (_int_pair(beta + 1), _int_pair(down)), (1, 1), order)
+    return prefactor, series
 
 
 def chebyshev_discrete(k: int, x, big_n):

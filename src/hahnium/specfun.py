@@ -3,23 +3,32 @@
 Everything here is a pure function of its arguments.
 
 Number fields: a closed form is evaluated exactly, over
-`fractions.Fraction`, if and only if every numeric input is an `int`
-(not `bool`) or a `Fraction`; otherwise it runs in binary64.  `_field`
-is the one place that applies this rule, and every closed form follows
-its answer.  The one pair of entries that names its field instead,
-`hyp_terminating` and `hyp_terminating_exact`, converts its inputs to
-it.  Binary64 sums are compensated.  The exact field is carried over
-integers where the work is: `hyp_terminating_exact` sums its series by
-Horner with one integer numerator and one integer denominator, and
-`pochhammer` forms its product over the numerator.  The exact closed
-forms made of such factors (`orthopoly.hahn`, the NR moment, the master
-integrals and the linearization closed form) join them through
-`_quotient`, the one exact join: it multiplies their integer numerators
-and denominators and normalizes the one `Fraction` it returns, so each
-exact value is normalized once where it is returned, not once per
-operation.  The linearization sum (`laguerre_integrals`) runs on
-integers in both fields, at the exact binary value of a float
-parameter, and rounds a float result once.
+`fractions.Fraction`, if and only if every numeric input is an int
+(not a bool) or a Fraction; otherwise it runs in binary64.  `_field`
+applies this rule, and each public call decides its field once, at its
+entry; below the entry nothing looks at a value's type again.
+
+A terminating series has two public entries, `hyp_terminating` (binary64)
+and `hyp_terminating_exact`, which name their field, convert the
+parameters of a `HypSeriesSpec` to it and find where the series stops.
+Each runs the one private body of its field: `_series_float`, a
+compensated binary64 sum, and `_series_exact`, a Horner sum, last term
+first, on one integer numerator and one integer denominator.  The closed
+forms whose parameters and stopping index are known (`orthopoly`'s Hahn
+body, and through it the NR and Dirac moments) call those bodies
+directly, so a hot moment builds no spec.  A public entry refuses a
+non-finite float input with ValueError (`_refuse_non_finite`); the
+private bodies trust their callers.
+
+The exact closed forms made of such factors (`orthopoly.hahn`, the NR
+moment, the master integrals and the linearization closed form) join
+them through `_quotient`, the one exact join: it multiplies their integer
+numerators and denominators and normalizes the one `Fraction` it
+returns, so each exact value is normalized once where it is returned,
+not once per operation.  `pochhammer` forms a Fraction's product over
+the numerator.  The linearization sum (`laguerre_integrals`) runs on
+integers in both fields, at the exact binary value of a float parameter,
+and rounds a float result once.
 """
 
 from __future__ import annotations
@@ -66,15 +75,30 @@ def _compensated_sum(terms) -> float:
     return total + carry
 
 
+def _refuse_non_finite(what: str, values) -> None:
+    """ValueError, naming `what`, for a nan or infinite number among
+    `values`; ints and Fractions pass unchecked."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+            raise ValueError(f"{what} needs finite inputs, got {v!r}")
+
+
 def pochhammer(a, n: int):
     """Rising factorial (a)_n = a(a+1)...(a+n-1) as an exact product.
 
     Returns 0 when a is a nonpositive integer with |a| < n.  The result
     type follows `a`: int and Fraction inputs stay exact.  A Fraction
     p/q gives prod (p + kq) over ints divided by q^n, normalized once.
+    ValueError for n < 0 or a non-finite a.
     """
     if n < 0:
         raise ValueError(f"pochhammer requires n >= 0, got {n}")
+    _refuse_non_finite("pochhammer", (a,))
+    return _pochhammer(a, n)
+
+
+def _pochhammer(a, n: int):
+    """`pochhammer` without the checks of its arguments."""
     if isinstance(a, Fraction):
         p, q = a.as_integer_ratio()
         top = 1
@@ -158,11 +182,22 @@ def _pole_error(b, k: int, order: int) -> ValueError:
 
 
 def hyp_terminating(spec: HypSeriesSpec) -> float:
-    """Terminating series value in binary64 with compensated accumulation."""
-    order = spec.termination_index()
-    nums = [float(a) for a in spec.numerator_params]
-    dens = [float(b) for b in spec.denominator_params]
-    z = float(spec.argument)
+    """Terminating series value in binary64 with compensated accumulation.
+
+    ValueError for a non-finite parameter or argument."""
+    nums, dens, z = spec.numerator_params, spec.denominator_params, spec.argument
+    _refuse_non_finite("hyp_terminating", (*nums, *dens, z))
+    return _series_float(
+        [float(a) for a in nums],
+        [float(b) for b in dens],
+        float(z),
+        spec.termination_index(),
+    )
+
+
+def _series_float(nums, dens, z: float, order: int) -> float:
+    """The series' first order + 1 terms at float parameters, summed by
+    `_compensated_sum`: the one binary64 series loop."""
     term = 1.0
     terms = [term]
     for k in range(order):
@@ -181,17 +216,29 @@ def hyp_terminating(spec: HypSeriesSpec) -> float:
 
 def hyp_terminating_exact(spec: HypSeriesSpec) -> Fraction:
     """Terminating series value as a Fraction (parameters must be rational;
-    a float is taken at its exact binary value).
+    a finite float is taken at its exact binary value, a non-finite one
+    raises ValueError).
+    """
+    nums, dens, z = spec.numerator_params, spec.denominator_params, spec.argument
+    _refuse_non_finite("hyp_terminating_exact", (*nums, *dens, z))
+    return _series_exact(
+        [_int_pair(a) for a in nums],
+        [_int_pair(b) for b in dens],
+        _int_pair(z),
+        spec.termination_index(),
+    )
+
+
+def _series_exact(nums, dens, z: tuple, order: int) -> Fraction:
+    """The series' first order + 1 terms at parameters given as integer
+    pairs (p, q) = p/q, and z likewise: the one exact series loop.
 
     Each parameter p/q enters the term ratio as (p + kq)/q, so the sum
     1 + r_0 (1 + r_1 (1 + ... r_{N-1})) runs by Horner, last term first,
     on one integer numerator and one integer denominator, and the
     Fraction is normalized once at the end.
     """
-    order = spec.termination_index()
-    nums = [_int_pair(a) for a in spec.numerator_params]
-    dens = [_int_pair(b) for b in spec.denominator_params]
-    z_top, z_bottom = _int_pair(spec.argument)
+    z_top, z_bottom = z
     # (p + kq) vanishes for k >= 0 only at an integer p/q = -k (q = 1)
     poles = [-p for p, q in dens if q == 1 and -order < p <= 0]
     if poles:

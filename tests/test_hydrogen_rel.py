@@ -156,6 +156,17 @@ def test_radial_functions_of_a_scalar_radius_are_floats(r):
         assert isinstance(r, np.float64) or type(value) is float, type(value)
 
 
+@pytest.mark.parametrize("r", [
+    -1.0, -1e-3, math.nan, math.inf, -math.inf,
+    np.array([1.0, -1e-3]), np.array([1.0, math.inf]), np.array([math.nan, 1.0]),
+])
+def test_radial_functions_refuse_radii_outside_their_domain(r):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        radial_nr(NrState(1.0, 2, 1), r)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        radial_rel(RelState(1.0, 1, -1), r)
+
+
 def test_hahn_forms_match_general_form():
     # the Hahn forms are the general route at p and at -(p+3)
     for state in _grid():

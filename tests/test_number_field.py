@@ -26,6 +26,7 @@ from hahnium.laguerre_integrals import (
 )
 from hahnium.orthopoly import (
     HahnParams,
+    _hahn,
     chebyshev_discrete,
     hahn,
     hahn_recurrence_rhs,
@@ -45,16 +46,19 @@ def _numbers(result) -> list:
 
 @pytest.fixture
 def no_exact_series(monkeypatch):
-    """hyp_terminating_exact raises wherever a hahnium module holds it."""
-    original = specfun.hyp_terminating_exact
+    """The public exact series entry and the private exact series body
+    both raise, wherever a hahnium module holds them: the hot closed forms
+    call the body without the entry."""
 
-    def refuse(spec):
-        raise AssertionError(f"float inputs reached the Fraction series: {spec}")
+    def refuse(*args):
+        raise AssertionError(f"float inputs reached the Fraction series: {args}")
 
-    for name, module in list(sys.modules.items()):
-        held = getattr(module, "hyp_terminating_exact", None)
-        if name.startswith("hahnium") and held is original:
-            monkeypatch.setattr(module, "hyp_terminating_exact", refuse)
+    for attribute in ("hyp_terminating_exact", "_series_exact"):
+        original = getattr(specfun, attribute)
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, attribute, None)
+            if name.startswith("hahnium") and held is original:
+                monkeypatch.setattr(module, attribute, refuse)
 
 
 def test_float_inputs_never_reach_the_fraction_series(no_exact_series):
@@ -67,6 +71,13 @@ def test_float_inputs_never_reach_the_fraction_series(no_exact_series):
     coefficients = linearization_coeffs(5, 3, 0.5).coefficients
     assert all(isinstance(c, float) for c in coefficients)
     assert isinstance(linearization_closed_form(5, 3, 6, 0.5), float)
+
+
+def test_the_guard_fires_on_the_private_exact_body(no_exact_series):
+    # a float sent into the exact Hahn body, as a wrong field decision in
+    # a closed form would send it, must hit the refusing series body
+    with pytest.raises(AssertionError, match="Fraction series"):
+        _hahn(Fraction, 3, 0, 0, -7.5, 2)
 
 
 EXACT_CASES = {

@@ -98,6 +98,26 @@ def test_hahn_positive_integer_n_pole_guard():
         hahn(HahnParams(4, 0, 0, 3), 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hahn_refuses_a_non_finite_input(bad):
+    cases = [
+        (HahnParams(3, 0, 0, bad), 2),
+        (HahnParams(3, 0, 0, -5.5), bad),
+        (HahnParams(3, bad, 0, -5.5), 2),
+        (HahnParams(3, 0, bad, -5.5), 2),
+    ]
+    for params, x in cases:
+        with pytest.raises(ValueError, match="finite"):
+            hahn(params, x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chebyshev_discrete_refuses_a_non_finite_input(bad):
+    for x, big_n in [(bad, -4), (2, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            chebyshev_discrete(3, x, big_n)
+
+
 def test_chebyshev_discrete_is_zero_parameter_hahn():
     assert chebyshev_discrete(3, Fraction(2), Fraction(-5)) == hahn(
         HahnParams(3, 0, 0, Fraction(-5)), Fraction(2)

@@ -33,6 +33,28 @@ def test_pochhammer_small_values():
         pochhammer(1, -1)
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_pochhammer_refuses_a_non_finite_argument(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pochhammer(bad, 3)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("entry", [hyp_terminating, hyp_terminating_exact])
+def test_series_entries_refuse_a_non_finite_parameter(entry, bad):
+    specs = [
+        HypSeriesSpec((-3, bad), (2.0,), 1),
+        HypSeriesSpec((-3, 1.5), (bad,), 1),
+        HypSeriesSpec((-3, 1.5), (2.0,), bad),
+    ]
+    for spec in specs:
+        with pytest.raises(ValueError, match="finite"):
+            entry(spec)
+
+
 @given(
     st.fractions(min_value=-6, max_value=6, max_denominator=4),
     st.integers(min_value=0, max_value=8),
