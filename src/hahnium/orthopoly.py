@@ -137,10 +137,12 @@ def _hahn_split(field: type, k: int, alpha, beta, big_n, x) -> tuple:
     prefactor = (-1) ** k * _pochhammer(big_n - k, k) * _pochhammer(beta + 1, k)
     if field is float:
         nums = (float(-k), float(up), float(-x))
-        series = _series_float(nums, (float(beta + 1), float(down)), 1.0, order)
+        dens = (float(beta + 1), float(down))
+        series = _series_float(nums, dens, 1.0, order)
     else:
         nums = (_int_pair(-k), _int_pair(up), _int_pair(-x))
-        series = _series_exact(nums, (_int_pair(beta + 1), _int_pair(down)), (1, 1), order)
+        dens = (_int_pair(beta + 1), _int_pair(down))
+        series = _series_exact(nums, dens, (1, 1), order)
     return prefactor, series
 
 

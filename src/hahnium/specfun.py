@@ -5,8 +5,8 @@ Everything here is a pure function of its arguments.
 Number fields: a closed form is evaluated exactly, over
 `fractions.Fraction`, if and only if every numeric input is an int
 (not a bool) or a Fraction; otherwise it runs in binary64.  `_field`
-applies this rule, and each public call decides its field once, at its
-entry; below the entry nothing looks at a value's type again.
+applies this rule.  Each public call decides its field once, at its
+entry, and hands it to the private bodies below, which do not ask again.
 
 A terminating series has two public entries, `hyp_terminating` (binary64)
 and `hyp_terminating_exact`, which name their field, convert the
@@ -54,25 +54,10 @@ def _field(*values) -> type:
     """The number field of `values`: `Fraction` when every one is an int
     (not a bool) or a Fraction, `float` otherwise."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        # a float answers at the first, cheapest test
+        if isinstance(v, (float, bool)) or not isinstance(v, (int, Fraction)):
             return float
     return Fraction
-
-
-def _compensated_sum(terms) -> float:
-    """Neumaier-compensated binary64 sum of `terms`, in their order.
-
-    Keeps alternating-sign sums honest; exact sums need no compensation.
-    """
-    total = carry = 0.0
-    for term in terms:
-        fresh = total + term
-        if abs(total) >= abs(term):
-            carry += (total - fresh) + term
-        else:
-            carry += (term - fresh) + total
-        total = fresh
-    return total + carry
 
 
 def _refuse_non_finite(what: str, values) -> None:
@@ -98,8 +83,11 @@ def pochhammer(a, n: int):
 
 
 def _pochhammer(a, n: int):
-    """`pochhammer` without the checks of its arguments."""
-    if isinstance(a, Fraction):
+    """`pochhammer` without the checks of its arguments.  The type test
+    is exact, not isinstance, which costs an ABC dispatch per call on the
+    hot float and int paths; a Fraction subclass takes the plain product,
+    equally exact."""
+    if type(a) is Fraction:
         p, q = a.as_integer_ratio()
         top = 1
         for k in range(n):
@@ -196,10 +184,14 @@ def hyp_terminating(spec: HypSeriesSpec) -> float:
 
 
 def _series_float(nums, dens, z: float, order: int) -> float:
-    """The series' first order + 1 terms at float parameters, summed by
-    `_compensated_sum`: the one binary64 series loop."""
-    term = 1.0
-    terms = [term]
+    """The series' first order + 1 terms at float parameters: the one
+    binary64 series loop.
+
+    Each term is added as it is formed, with Neumaier's compensation,
+    which keeps alternating-sign sums honest.
+    """
+    term = total = 1.0
+    carry = 0.0
     for k in range(order):
         ratio = z / (k + 1)
         for a in nums:
@@ -210,8 +202,13 @@ def _series_float(nums, dens, z: float, order: int) -> float:
                 raise _pole_error(b, k, order)
             ratio /= factor
         term *= ratio
-        terms.append(term)
-    return _compensated_sum(terms)
+        fresh = total + term
+        if abs(total) >= abs(term):
+            carry += (total - fresh) + term
+        else:
+            carry += (term - fresh) + total
+        total = fresh
+    return total + carry
 
 
 def hyp_terminating_exact(spec: HypSeriesSpec) -> Fraction:
